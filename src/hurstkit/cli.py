@@ -18,14 +18,19 @@ from .errors import HurstkitError
 from .estimators import METHOD_ORDER, estimate
 from .generators import Ar1Spec, FarimaSpec, FgnSpec, gen_ar1, gen_farima, gen_fgn, gen_iid_gaussian
 from .harness import (
+    TraceSource,
     build_experiment_spec,
     export_acf,
     format_matrix,
+    open_input,
     parse_config,
     run_matrix,
 )
-from .series import TimeSeries, read_series, write_series
-from .traces import bin_bytes, interarrival_series, parse_packet_trace
+from .series import read_series, write_series
+
+# Not called here since ingest goes through TraceSource, but perfbench's
+# tracer patches these names on this module, so they must stay importable.
+from .traces import bin_bytes, parse_packet_trace  # noqa: F401
 from .transforms import CorruptionKind, FilterKind, apply_filter, corrupt
 
 _ESTIMATE_CODES = {
@@ -42,15 +47,6 @@ _FILTER_CODES = {"log": "log", "linear": "linear_detrend", "poly": "poly_detrend
 
 
 @contextmanager
-def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            yield fh
-
-
-@contextmanager
 def _open_out(path: str):
     if path == "-":
         yield sys.stdout
@@ -60,7 +56,7 @@ def _open_out(path: str):
 
 
 def _read_series_arg(path: str):
-    with _open_in(path) as fh:
+    with open_input(path) as fh:
         return read_series(fh)
 
 
@@ -146,19 +142,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    with _open_in(args.trace) as fh:
-        trace = parse_packet_trace(fh, source=args.trace)
-    if args.mode == "bins":
-        if args.bin_width is None:
-            raise HurstkitError("--mode bins requires --bin-width")
-        series = bin_bytes(trace, args.bin_width)
-    else:
-        series = interarrival_series(trace)
-    values = series.values[args.skip :]
-    if args.take is not None:
-        values = values[: args.take]
+    if args.mode == "bins" and args.bin_width is None:
+        raise HurstkitError("--mode bins requires --bin-width")
+    source = TraceSource(
+        path=args.trace, mode=args.mode, bin_width=args.bin_width, skip=args.skip, take=args.take
+    )
+    series = source.make(0)
     with _open_out(args.out) as fh:
-        write_series(TimeSeries(values), fh)
+        write_series(series, fh)
     return 0
 
 
@@ -172,7 +163,7 @@ def _cmd_acf(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     mapping: dict[str, list[str]] = {}
     if args.config:
-        with _open_in(args.config) as fh:
+        with open_input(args.config) as fh:
             mapping = parse_config(fh.read())
     overrides = {
         "source": args.source,

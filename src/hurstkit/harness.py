@@ -14,7 +14,9 @@ never shares a random stream with any run's source.
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable
@@ -100,6 +102,23 @@ class GeneratorSource:
         return f"{self.n} points iid Gaussian"
 
 
+@contextmanager
+def open_input(path: str):
+    """Open a text input file as ASCII; '-' means stdin."""
+    if path == "-":
+        yield sys.stdin
+    else:
+        with open(path, "r", encoding="ascii") as fh:
+            yield fh
+
+
+def _check_window(skip: int, take: int | None) -> None:
+    if skip < 0:
+        raise ConfigError(f"skip must be >= 0, got {skip}")
+    if take is not None and take < 0:
+        raise ConfigError(f"take must be >= 0, got {take}")
+
+
 @dataclass(frozen=True)
 class FileSource:
     """Series loaded from the one-value-per-line text format."""
@@ -108,8 +127,11 @@ class FileSource:
     skip: int = 0
     take: int | None = None
 
+    def __post_init__(self) -> None:
+        _check_window(self.skip, self.take)
+
     def make(self, seed: int) -> TimeSeries:
-        with open(self.path, "r", encoding="ascii") as fh:
+        with open_input(self.path) as fh:
             series = read_series(fh)
         return _slice_series(series, self.skip, self.take)
 
@@ -132,9 +154,10 @@ class TraceSource:
             raise ConfigError(f"trace mode must be 'bins' or 'interarrival', got {self.mode!r}")
         if self.mode == "bins" and self.bin_width is None:
             raise ConfigError("trace mode 'bins' requires a bin width")
+        _check_window(self.skip, self.take)
 
     def make(self, seed: int) -> TimeSeries:
-        with open(self.path, "r", encoding="ascii") as fh:
+        with open_input(self.path) as fh:
             trace = parse_packet_trace(fh, source=self.path)
         if self.mode == "bins":
             series = bin_bytes(trace, float(self.bin_width))

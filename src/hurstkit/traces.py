@@ -4,16 +4,31 @@ and interarrival times.
 Trace format: ASCII text, one packet per line as
 ``<timestamp-seconds> <size-bytes>``; '#' comments and blank lines are
 allowed.  Timestamps must be non-decreasing (violations are an error,
-never silently reordered).  Bins are anchored at the first packet's
-timestamp; empty bins are legitimate zeros (they are what rules out the
-log filter on binned traffic).
+never silently reordered) and sizes must fit in a signed 64-bit integer.
+Bins are anchored at the first packet's timestamp; empty bins are
+legitimate zeros (they are what rules out the log filter on binned
+traffic).
+
+A :class:`PacketTrace` is columnar: one read-only float64 array of
+timestamps and one read-only int64 array of sizes, with no per-packet
+Python objects.  :func:`parse_packet_trace` reads its input once into a
+buffer and hands it to NumPy's C text reader.  Whenever that reader
+rejects the text, or its columns fail the checks (finite timestamps,
+non-negative sizes, non-decreasing timestamps), or the text is empty or
+not ASCII, the same buffer is parsed again by the line-by-line scanner
+``_scan``.  The scanner is the reference for what the format accepts and
+the only source of diagnostics, so every error names the line and
+column it always did; inputs only the scanner accepts (comment lines,
+``1_000``, non-ASCII digits) still parse, just at the scanner's speed.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -35,51 +50,99 @@ __all__ = [
     "interarrival_series",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
+# a byte that is not whitespace to both NumPy's reader and str.split()
+_DATA_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
+
 
 @dataclass(frozen=True)
 class PacketRecord:
-    """One packet: arrival time in seconds and size in bytes."""
+    """One packet: arrival time in seconds and size in bytes.
+
+    Fields are coerced to plain ``float`` and ``int``, so a record built
+    from NumPy scalars prints and serializes like any other; a size that
+    is not a whole number is rejected.
+    """
 
     timestamp: float
     size: int
 
-
-@dataclass(frozen=True)
-class PacketTrace:
-    """Ordered packet records plus a free-form source label."""
-
-    records: tuple[PacketRecord, ...]
-    source: str = ""
-
     def __post_init__(self) -> None:
-        ts = self.timestamps
-        if ts.size > 1:
-            drops = np.flatnonzero(np.diff(ts) < 0)
-            if drops.size:
-                i = int(drops[0]) + 1
-                raise NonMonotoneTimestamp(
-                    f"record {i + 1}: timestamp {ts[i]} < {ts[i - 1]}"
-                )
+        size = int(self.size)
+        if size != self.size:
+            raise ValueError(f"packet size must be a whole number, got {self.size!r}")
+        object.__setattr__(self, "timestamp", float(self.timestamp))
+        object.__setattr__(self, "size", size)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-d column, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+class PacketTrace:
+    """Ordered packets as two columns plus a free-form source label.
+
+    ``timestamps`` (seconds) and ``sizes`` (bytes) are copied into
+    read-only float64 and int64 arrays; sizes must be whole numbers and
+    timestamps must not decrease.
+    """
+
+    __slots__ = ("_timestamps", "_sizes", "source")
+
+    def __init__(
+        self,
+        timestamps: Sequence[float] | np.ndarray = (),
+        sizes: Sequence[int] | np.ndarray = (),
+        source: str = "",
+    ):
+        ts = _read_only(timestamps, np.float64)
+        given = np.asarray(sizes)
+        sz = _read_only(given, np.int64)
+        if not np.array_equal(sz, given):
+            raise ValueError("packet sizes must be whole numbers")
+        if ts.size != sz.size:
+            raise ValueError(f"{ts.size} timestamps but {sz.size} sizes")
+        drops = np.flatnonzero(np.diff(ts) < 0)
+        if drops.size:
+            i = int(drops[0]) + 1
+            raise NonMonotoneTimestamp(f"record {i + 1}: timestamp {ts[i]} < {ts[i - 1]}")
+        self._timestamps = ts
+        self._sizes = sz
+        self.source = source
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._timestamps.size
+
+    def __repr__(self) -> str:
+        return f"PacketTrace(n={len(self)}, source={self.source!r})"
 
     @property
     def timestamps(self) -> np.ndarray:
-        return np.fromiter(
-            (rec.timestamp for rec in self.records), dtype=np.float64, count=len(self.records)
-        )
+        """Read-only float64 arrival times in seconds."""
+        return self._timestamps
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.fromiter(
-            (rec.size for rec in self.records), dtype=np.float64, count=len(self.records)
+        """Packet sizes as a new float64 array (the int64 column stays exact)."""
+        return self._sizes.astype(np.float64)
+
+    @property
+    def records(self) -> tuple[PacketRecord, ...]:
+        """The packets as :class:`PacketRecord` objects, built on each access."""
+        return tuple(
+            PacketRecord(t, s) for t, s in zip(self._timestamps.tolist(), self._sizes.tolist())
         )
 
 
-def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
-    """Parse the two-column text format, reporting the first bad entry."""
-    records: list[PacketRecord] = []
+def _scan(lines: Iterable[str]) -> tuple[list[float], list[int]]:
+    """Reference line-by-line parse, raising on the first bad entry."""
+    timestamps: list[float] = []
+    sizes: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -99,18 +162,58 @@ def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
             raise MalformedLine(f"line {lineno}, column 2: bad size {fields[1]!r}") from None
         if size < 0:
             raise MalformedLine(f"line {lineno}, column 2: negative size {size}")
-        if records and ts < records[-1].timestamp:
+        if size > _INT64_MAX:
+            raise MalformedLine(f"line {lineno}, column 2: size {fields[1]!r} does not fit in int64")
+        if timestamps and ts < timestamps[-1]:
             raise NonMonotoneTimestamp(
-                f"record {len(records) + 1} (line {lineno}): timestamp {ts} < {records[-1].timestamp}"
+                f"record {len(timestamps) + 1} (line {lineno}): timestamp {ts} < {timestamps[-1]}"
             )
-        records.append(PacketRecord(timestamp=ts, size=size))
-    return PacketTrace(records=tuple(records), source=source)
+        timestamps.append(ts)
+        sizes.append(size)
+    return timestamps, sizes
+
+
+def _load_columns(buf: bytes) -> np.ndarray | None:
+    """Both columns via NumPy's C reader, or None if the scanner must decide."""
+    if _DATA_BYTE.search(buf) is None:
+        return None  # loadtxt would warn about empty input
+    try:
+        table = np.loadtxt(io.BytesIO(buf), dtype=_COLUMNS, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ts, sz = table["t"], table["s"]
+    if not (np.isfinite(ts).all() and (sz >= 0).all() and (np.diff(ts) >= 0).all()):
+        return None
+    return table
+
+
+def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
+    """Parse the two-column text format, reporting the first bad entry.
+
+    ``lines`` is a text stream, or an iterable of lines with or without
+    their newline.
+    """
+    read = getattr(lines, "read", None)
+    if read is not None:
+        text = read()
+    else:
+        text = "\n".join(line.removesuffix("\n") for line in lines)
+    try:
+        buf = text.encode("ascii")
+    except UnicodeEncodeError:
+        return PacketTrace(*_scan(text.split("\n")), source=source)
+    del text  # keep one copy of the characters alive, not two
+    table = _load_columns(buf)
+    if table is None:
+        return PacketTrace(*_scan(buf.decode("ascii").split("\n")), source=source)
+    del buf
+    return PacketTrace(table["t"], table["s"], source=source)
 
 
 def serialize_packet_trace(trace: PacketTrace, stream: IO[str]) -> None:
     """Write the two-column format; parse -> serialize -> parse is identity."""
-    for rec in trace.records:
-        stream.write(f"{rec.timestamp!r} {rec.size}\n")
+    for ts, size in zip(trace._timestamps.tolist(), trace._sizes.tolist()):
+        stream.write(f"{ts!r} {size}\n")
 
 
 def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
@@ -125,7 +228,7 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
         raise EmptyTrace("cannot bin an empty trace")
     if not (isinstance(bin_width, (int, float)) and math.isfinite(bin_width) and bin_width > 0):
         raise BadBinWidth(f"bin width must be positive and finite, got {bin_width!r}")
-    ts = trace.timestamps
+    ts = trace._timestamps
     t0 = ts[0]
     span = ts[-1] - t0
     nbins = int(math.ceil(span / bin_width))
@@ -133,7 +236,7 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
         return TimeSeries(np.empty(0))
     idx = ((ts - t0) // bin_width).astype(np.int64)
     keep = idx < nbins
-    totals = np.bincount(idx[keep], weights=trace.sizes[keep], minlength=nbins)
+    totals = np.bincount(idx[keep], weights=trace._sizes[keep], minlength=nbins)
     return TimeSeries(totals)
 
 
@@ -143,4 +246,4 @@ def interarrival_series(trace: PacketTrace) -> TimeSeries:
         raise EmptyTrace("cannot derive interarrivals from an empty trace")
     if len(trace) < 2:
         raise TooFewRecords("interarrival series needs at least two records")
-    return TimeSeries(np.diff(trace.timestamps))
+    return TimeSeries(np.diff(trace._timestamps))

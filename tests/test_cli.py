@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,24 @@ def test_ingest_modes(tmp_path, capsys):
 
     assert run_cli("ingest", "--trace", str(trace), "--mode", "bins", "--out", "-") == 2
     assert "bin-width" in capsys.readouterr().err
+
+
+def test_ingest_from_stdin(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.0 10\n0.5 20\n1.0 30\n2.5 40\n"))
+    out = tmp_path / "gaps.txt"
+    assert run_cli("ingest", "--trace", "-", "--mode", "interarrival", "--take", "2", "--out", str(out)) == 0
+    with open(out) as fh:
+        assert hk.read_series(fh).values.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("flag", ["--skip", "--take"])
+def test_ingest_rejects_negative_window(tmp_path, capsys, flag):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0.0 10\n0.5 20\n1.0 30\n", encoding="ascii")
+    assert run_cli("ingest", "--trace", str(trace), "--mode", "interarrival", flag, "-1") == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} must be >= 0, got -1" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_acf_command(tmp_path, capsys):

@@ -216,6 +216,13 @@ def test_file_source_with_skip_take(tmp_path):
     assert cell.hurst == pytest.approx(hk.est_rs(loaded).hurst)
 
 
+@pytest.mark.parametrize("source", ["file", "trace"])
+@pytest.mark.parametrize("key", ["skip", "take"])
+def test_negative_window_is_rejected(source, key):
+    with pytest.raises(hk.ConfigError, match=f"{key} must be >= 0, got -3"):
+        build_experiment_spec(parse_config(f"source = {source}\npath = x\n{key} = -3\n"))
+
+
 def test_estimator_code_aliases():
     spec = build_experiment_spec(
         parse_config("source = iid\nn = 2048\nestimator = pgram\nestimator = lwhittle\n")
