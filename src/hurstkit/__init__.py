@@ -77,7 +77,6 @@ from .harness import (
     build_experiment_spec,
     export_acf,
     format_matrix,
-    load_experiment_spec,
     parse_config,
     run_matrix,
 )

@@ -15,9 +15,16 @@ import numpy as np
 
 from . import __version__
 from .errors import HurstkitError
-from .estimators import METHOD_ORDER, estimate
-from .generators import Ar1Spec, FarimaSpec, FgnSpec, gen_ar1, gen_farima, gen_fgn, gen_iid_gaussian
+from .estimators import estimate
 from .harness import (
+    CONFIG_KEYS,
+    CORRUPTIONS,
+    FILTERS,
+    GENERATOR_MODELS,
+    METHODS,
+    TRACE_MODES,
+    FileSource,
+    GeneratorSource,
     TraceSource,
     build_experiment_spec,
     export_acf,
@@ -26,24 +33,15 @@ from .harness import (
     parse_config,
     run_matrix,
 )
-from .series import read_series, write_series
+from .series import write_series
 
-# Not called here since ingest goes through TraceSource, but perfbench's
-# tracer patches these names on this module, so they must stay importable.
+# Not called here since generate and every read go through the harness
+# sources, but perfbench's tracer patches these names on this module, so they
+# must stay importable.
+from .generators import gen_ar1, gen_farima, gen_fgn  # noqa: F401
+from .series import read_series  # noqa: F401
 from .traces import bin_bytes, parse_packet_trace  # noqa: F401
 from .transforms import CorruptionKind, FilterKind, apply_filter, corrupt
-
-_ESTIMATE_CODES = {
-    "rs": ("rs",),
-    "aggvar": ("aggvar",),
-    "pgram": ("periodogram",),
-    "lwhittle": ("local_whittle",),
-    "wavelet": ("wavelet",),
-    "all": METHOD_ORDER,
-}
-
-_CORRUPT_CODES = {"ar1": "ar1", "sine": "sine", "trend": "linear_trend"}
-_FILTER_CODES = {"log": "log", "linear": "linear_detrend", "poly": "poly_detrend"}
 
 
 @contextmanager
@@ -55,59 +53,43 @@ def _open_out(path: str):
             yield fh
 
 
-def _read_series_arg(path: str):
-    with open_input(path) as fh:
-        return read_series(fh)
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.model == "fgn":
-        series = gen_fgn(FgnSpec(hurst=args.h, n=args.n, seed=args.seed))
-    elif args.model == "farima":
-        series = gen_farima(
-            FarimaSpec(
-                d=args.d,
-                n=args.n,
-                seed=args.seed,
-                ar=tuple(args.phi or ()),
-                ma=tuple(args.theta or ()),
-                sigma=args.sigma,
-            )
-        )
-    elif args.model == "ar1":
-        phi = args.phi[0] if args.phi else 0.9
-        series = gen_ar1(Ar1Spec(phi=phi, n=args.n, seed=args.seed, sigma=args.sigma))
-    else:
-        series = gen_iid_gaussian(args.n, args.seed)
-    with _open_out(args.out) as fh:
+def _write_series_arg(series, path: str) -> int:
+    with _open_out(path) as fh:
         write_series(series, fh)
     return 0
 
 
+def _cmd_generate(args: argparse.Namespace) -> int:
+    source = GeneratorSource(
+        model=args.model,
+        n=args.n,
+        hurst=args.h,
+        d=args.d,
+        phi=tuple(args.phi or ()),
+        theta=tuple(args.theta or ()),
+        sigma=args.sigma,
+    )
+    return _write_series_arg(source.make(args.seed), args.out)
+
+
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    series = _read_series_arg(args.infile)
-    name = _CORRUPT_CODES[args.kind]
+    series = FileSource(args.infile).make(0)
+    (name,) = CORRUPTIONS(args.kind)
     kind = CorruptionKind(name=name, phi=args.phi, cycles=args.cycles)
-    out = corrupt(series, kind, seed=args.seed)
-    with _open_out(args.out) as fh:
-        write_series(out, fh)
-    return 0
+    return _write_series_arg(corrupt(series, kind, seed=args.seed), args.out)
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    series = _read_series_arg(args.infile)
-    kind = FilterKind(name=_FILTER_CODES[args.kind], degree=args.degree)
-    out = apply_filter(series, kind)
-    with _open_out(args.out) as fh:
-        write_series(out, fh)
-    return 0
+    series = FileSource(args.infile).make(0)
+    (name,) = FILTERS(args.kind)
+    kind = FilterKind(name=name, degree=args.degree)
+    return _write_series_arg(apply_filter(series, kind), args.out)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    series = _read_series_arg(args.infile)
-    methods = _ESTIMATE_CODES[args.method]
+    series = FileSource(args.infile).make(0)
     reports = []
-    for method in methods:
+    for method in METHODS(args.method):
         kwargs = {}
         if method == "local_whittle" and args.bandwidth is not None:
             kwargs["m"] = args.bandwidth
@@ -142,19 +124,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    if args.mode == "bins" and args.bin_width is None:
-        raise HurstkitError("--mode bins requires --bin-width")
     source = TraceSource(
         path=args.trace, mode=args.mode, bin_width=args.bin_width, skip=args.skip, take=args.take
     )
-    series = source.make(0)
-    with _open_out(args.out) as fh:
-        write_series(series, fh)
-    return 0
+    return _write_series_arg(source.make(0), args.out)
 
 
 def _cmd_acf(args: argparse.Namespace) -> int:
-    series = _read_series_arg(args.infile)
+    series = FileSource(args.infile).make(0)
     with _open_out(args.out) as fh:
         export_acf(series, args.max_lag, fh)
     return 0
@@ -165,35 +142,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.config:
         with open_input(args.config) as fh:
             mapping = parse_config(fh.read())
-    overrides = {
-        "source": args.source,
-        "n": args.n,
-        "h": args.h,
-        "d": args.d,
-        "sigma": args.sigma,
-        "path": args.path,
-        "mode": args.mode,
-        "bin-width": args.bin_width,
-        "skip": args.skip,
-        "take": args.take,
-        "runs": args.runs,
-        "seed": args.seed,
-        "format": args.format,
-        "output": args.out,
-        "workers": args.workers,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = [str(value)]
-    for key, values in (
-        ("phi", args.phi),
-        ("theta", args.theta),
-        ("corruption", args.corruption),
-        ("filter", args.filter),
-        ("estimator", args.estimator),
-    ):
-        if values:
-            mapping[key] = [str(v) for v in values]
+    for key in CONFIG_KEYS:
+        values = getattr(args, key)
+        if values is not None:
+            mapping[key] = values if isinstance(values, list) else [values]
 
     spec = build_experiment_spec(mapping)
     matrix = run_matrix(spec)
@@ -212,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesise a series")
-    p.add_argument("--model", required=True, choices=["fgn", "farima", "ar1", "iid"])
+    p.add_argument("--model", required=True, choices=GENERATOR_MODELS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=0.7, help="Hurst parameter (fgn)")
@@ -224,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("corrupt", help="add a std-matched corruption")
-    p.add_argument("--kind", required=True, choices=sorted(_CORRUPT_CODES))
+    p.add_argument("--kind", required=True, choices=[c for c in CORRUPTIONS.names if c != "none"])
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--seed", type=int, default=0)
@@ -233,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("filter", help="apply a preprocessing filter")
-    p.add_argument("--kind", required=True, choices=sorted(_FILTER_CODES))
+    p.add_argument("--kind", required=True, choices=[c for c in FILTERS.names if c != "none"])
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--degree", type=int, default=10)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("estimate", help="estimate the Hurst parameter")
-    p.add_argument("--method", required=True, choices=sorted(_ESTIMATE_CODES))
+    p.add_argument("--method", required=True, choices=METHODS.names)
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--bandwidth", type=int, help="local Whittle bandwidth override")
@@ -249,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="derive a series from a packet trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--mode", required=True, choices=["bins", "interarrival"])
+    p.add_argument("--mode", required=True, choices=TRACE_MODES)
     p.add_argument("--bin-width", type=float)
     p.add_argument("--skip", type=int, default=0)
     p.add_argument("--take", type=int)
@@ -264,30 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="run an experiment matrix")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--source", choices=["fgn", "farima", "ar1", "iid", "file", "trace"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--d", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--phi", type=float, action="append")
-    p.add_argument("--theta", type=float, action="append")
-    p.add_argument("--path")
-    p.add_argument("--mode", choices=["bins", "interarrival"])
-    p.add_argument("--bin-width", type=float)
-    p.add_argument("--skip", type=int)
-    p.add_argument("--take", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--corruption", action="append", choices=["none", "ar1", "sine", "trend"])
-    p.add_argument("--filter", action="append", choices=["none", "log", "linear", "poly"])
-    p.add_argument(
-        "--estimator",
-        action="append",
-        choices=["rs", "aggvar", "pgram", "lwhittle", "wavelet", "all"],
-    )
-    p.add_argument("--format", choices=["csv", "aligned"])
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int)
+    for key, spec in CONFIG_KEYS.items():
+        flags = [f"--{key}"] + (["--out"] if key == "output" else [])
+        action = "append" if spec.is_list else "store"
+        p.add_argument(*flags, dest=key, action=action, choices=spec.choices, help=f"config key '{key}'")
     p.set_defaults(func=_cmd_matrix)
 
     return parser
@@ -298,10 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HurstkitError as exc:
-        print(f"hurstkit: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HurstkitError, OSError, ValueError) as exc:
         print(f"hurstkit: error: {exc}", file=sys.stderr)
         return 2
 

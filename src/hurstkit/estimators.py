@@ -293,11 +293,17 @@ def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> Estim
     )
 
 
+def _local_whittle_objective(
+    hurst: float, log_lam: np.ndarray, mean_log: float, power: np.ndarray
+) -> float:
+    scaled = power * np.exp((2.0 * hurst - 1.0) * log_lam)
+    return float(np.log(scaled.mean()) - (2.0 * hurst - 1.0) * mean_log)
+
+
 def local_whittle_objective(hurst: float, frequencies: np.ndarray, power: np.ndarray) -> float:
     """R(H) = ln[mean(lambda^(2H-1) I)] - (2H-1) mean(ln lambda)."""
     log_lam = np.log(frequencies)
-    scaled = power * np.exp((2.0 * hurst - 1.0) * log_lam)
-    return float(np.log(scaled.mean()) - (2.0 * hurst - 1.0) * log_lam.mean())
+    return _local_whittle_objective(hurst, log_lam, log_lam.mean(), power)
 
 
 def local_whittle_minimize(
@@ -310,14 +316,14 @@ def local_whittle_minimize(
 ) -> float:
     """Minimise the local Whittle objective over [lo, hi] to tolerance tol."""
     log_lam = np.log(np.asarray(frequencies, dtype=np.float64))
-    mean_log = log_lam.mean()
     power = np.asarray(power, dtype=np.float64)
-
-    def objective(h: float) -> float:
-        scaled = power * np.exp((2.0 * h - 1.0) * log_lam)
-        return float(np.log(scaled.mean()) - (2.0 * h - 1.0) * mean_log)
-
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": tol})
+    res = minimize_scalar(
+        _local_whittle_objective,
+        args=(log_lam, log_lam.mean(), power),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": tol},
+    )
     return float(res.x)
 
 

@@ -18,10 +18,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Any, Callable
 
-from .errors import ConfigError, HurstkitError
+from .errors import ConfigError, HurstkitError, SeriesTooShort
 from .estimators import METHOD_ORDER, EstimatorReport, estimate
 from .generators import Ar1Spec, FarimaSpec, FgnSpec, gen_ar1, gen_farima, gen_fgn, gen_iid_gaussian
 from .series import TimeSeries, acf, read_series
@@ -46,16 +45,60 @@ __all__ = [
 
 CORRUPTION_SEED_OFFSET = 2**32
 
-_METHOD_LABELS = {
-    "rs": "R/S",
-    "aggvar": "AggVar",
-    "periodogram": "Pgram",
-    "local_whittle": "LWhittle",
-    "wavelet": "Wavelet",
-}
 
-_CORRUPTION_LABELS = {"ar1": "AR(1)", "sine": "Sin", "linear_trend": "Trend"}
-_FILTER_LABELS = {"log": "Log", "linear_detrend": "Trend", "poly_detrend": "Poly"}
+class Vocabulary:
+    """Codes (config values, CLI choices) -> canonical names -> aligned-table labels.
+
+    ``rows`` are ``(code, canonical name, label)``; ``aliases`` are further
+    codes, each naming one or more canonical names.  None names the
+    untransformed matrix row.
+    """
+
+    def __init__(self, what: str, rows: tuple, aliases: dict | None = None) -> None:
+        self.what = what
+        self.labels = {name: label for _, name, label in rows}
+        self.names = {code: (name,) for code, name, _ in rows} | (aliases or {})
+
+    def __call__(self, code: str) -> tuple[str | None, ...]:
+        if code not in self.names:
+            raise ConfigError(f"unknown {self.what} {code!r}")
+        return self.names[code]
+
+
+METHODS = Vocabulary(
+    "estimator",
+    (
+        ("rs", "rs", "R/S"),
+        ("aggvar", "aggvar", "AggVar"),
+        ("pgram", "periodogram", "Pgram"),
+        ("wavelet", "wavelet", "Wavelet"),
+        ("lwhittle", "local_whittle", "LWhittle"),
+    ),
+    aliases={"periodogram": ("periodogram",), "local_whittle": ("local_whittle",), "all": METHOD_ORDER},
+)
+CORRUPTIONS = Vocabulary(
+    "corruption",
+    (
+        ("none", None, "None"),
+        ("ar1", "ar1", "AR(1)"),
+        ("sine", "sine", "Sin"),
+        ("trend", "linear_trend", "Trend"),
+    ),
+)
+FILTERS = Vocabulary(
+    "filter",
+    (
+        ("none", None, "None"),
+        ("log", "log", "Log"),
+        ("linear", "linear_detrend", "Trend"),
+        ("poly", "poly_detrend", "Poly"),
+    ),
+)
+
+GENERATOR_MODELS = ("fgn", "farima", "ar1", "iid")
+SOURCES = GENERATOR_MODELS + ("file", "trace")
+TRACE_MODES = ("bins", "interarrival")
+FORMATS = ("csv", "aligned")
 
 
 @dataclass(frozen=True)
@@ -71,22 +114,30 @@ class GeneratorSource:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.model not in ("fgn", "farima", "ar1", "iid"):
+        if self.model not in GENERATOR_MODELS:
             raise ConfigError(f"unknown generator model {self.model!r}")
         object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        self._spec(0)
 
-    def make(self, seed: int) -> TimeSeries:
+    def _spec(self, seed: int) -> tuple[Callable[[Any], TimeSeries], Any]:
+        """(generator, spec) for one seed; building the spec validates the parameters."""
         if self.model == "fgn":
-            return gen_fgn(FgnSpec(hurst=self.hurst, n=self.n, seed=seed))
+            return gen_fgn, FgnSpec(hurst=self.hurst, n=self.n, seed=seed)
         if self.model == "farima":
-            return gen_farima(
-                FarimaSpec(d=self.d, n=self.n, seed=seed, ar=self.phi, ma=self.theta, sigma=self.sigma)
+            return gen_farima, FarimaSpec(
+                d=self.d, n=self.n, seed=seed, ar=self.phi, ma=self.theta, sigma=self.sigma
             )
         if self.model == "ar1":
             phi = self.phi[0] if self.phi else 0.9
-            return gen_ar1(Ar1Spec(phi=phi, n=self.n, seed=seed, sigma=self.sigma))
-        return gen_iid_gaussian(self.n, seed)
+            return gen_ar1, Ar1Spec(phi=phi, n=self.n, seed=seed, sigma=self.sigma)
+        if self.n < 1:
+            raise SeriesTooShort(f"need N >= 1, got {self.n}")
+        return (lambda s: gen_iid_gaussian(self.n, s)), seed
+
+    def make(self, seed: int) -> TimeSeries:
+        generate, spec = self._spec(seed)
+        return generate(spec)
 
     def describe(self) -> str:
         if self.model == "fgn":
@@ -97,8 +148,7 @@ class GeneratorSource:
                 f"d={self.d:g} phi={list(self.phi)} theta={list(self.theta)}"
             )
         if self.model == "ar1":
-            phi = self.phi[0] if self.phi else 0.9
-            return f"{self.n} points AR(1) phi={phi:g}"
+            return f"{self.n} points AR(1) phi={self._spec(0)[1].phi:g}"
         return f"{self.n} points iid Gaussian"
 
 
@@ -150,10 +200,10 @@ class TraceSource:
     take: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("bins", "interarrival"):
+        if self.mode not in TRACE_MODES:
             raise ConfigError(f"trace mode must be 'bins' or 'interarrival', got {self.mode!r}")
         if self.mode == "bins" and self.bin_width is None:
-            raise ConfigError("trace mode 'bins' requires a bin width")
+            raise ConfigError("trace mode 'bins' requires a bin width ('bin-width')")
         _check_window(self.skip, self.take)
 
     def make(self, seed: int) -> TimeSeries:
@@ -172,10 +222,9 @@ class TraceSource:
 
 
 def _slice_series(series: TimeSeries, skip: int, take: int | None) -> TimeSeries:
-    values = series.values[skip:]
-    if take is not None:
-        values = values[:take]
-    return TimeSeries(values)
+    if skip == 0 and take is None:
+        return series
+    return TimeSeries(series.values[skip:][:take])
 
 
 @dataclass(frozen=True)
@@ -202,7 +251,7 @@ class ExperimentSpec:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.fmt not in ("csv", "aligned"):
+        if self.fmt not in FORMATS:
             raise ConfigError(f"unknown output format {self.fmt!r}; use 'csv' or 'aligned'")
 
 
@@ -252,7 +301,7 @@ def _materialize_rows(
     for kind in spec.corruptions:
         if kind is None:
             continue
-        row = MatrixRow(run=run, seed=seed, kind="corrupt", label=_CORRUPTION_LABELS[kind.name])
+        row = MatrixRow(run=run, seed=seed, kind="corrupt", label=CORRUPTIONS.labels[kind.name])
         try:
             rows.append((row, corrupt(base, kind, seed=seed + CORRUPTION_SEED_OFFSET)))
         except HurstkitError as exc:
@@ -260,7 +309,7 @@ def _materialize_rows(
     for kind in spec.filters:
         if kind is None:
             continue
-        row = MatrixRow(run=run, seed=seed, kind="filter", label=_FILTER_LABELS[kind.name])
+        row = MatrixRow(run=run, seed=seed, kind="filter", label=FILTERS.labels[kind.name])
         try:
             rows.append((row, apply_filter(base, kind)))
         except HurstkitError as exc:
@@ -349,7 +398,7 @@ def _format_aligned(matrix: ResultMatrix) -> str:
         ci = _format_ci(cell)
         return f"{text} +- {ci}" if ci else text
 
-    col_labels = [_METHOD_LABELS[m] for m in matrix.methods]
+    col_labels = [METHODS.labels[m] for m in matrix.methods]
     table: list[list[str]] = []
     blocks: list[tuple[int, str]] = []  # (table row index, heading)
     last_run = None
@@ -387,40 +436,40 @@ def export_acf(series: TimeSeries, max_lag: int, stream: IO[str]) -> None:
 
 # --- configuration -------------------------------------------------------
 
-_LIST_KEYS = {"corruption", "filter", "estimator", "phi", "theta"}
-_SCALAR_KEYS = {
-    "source",
-    "model",
-    "n",
-    "h",
-    "d",
-    "sigma",
-    "seed",
-    "runs",
-    "path",
-    "mode",
-    "bin-width",
-    "skip",
-    "take",
-    "output",
-    "format",
-    "workers",
-    "degree",
-    "cycles",
-}
 
-_ESTIMATOR_CODES = {
-    "rs": "rs",
-    "aggvar": "aggvar",
-    "pgram": "periodogram",
-    "periodogram": "periodogram",
-    "lwhittle": "local_whittle",
-    "local_whittle": "local_whittle",
-    "wavelet": "wavelet",
-}
+@dataclass(frozen=True)
+class ConfigKey:
+    """How one config key's values are read; the matrix flags are built from these."""
 
-_CORRUPTION_CODES = {"none": None, "ar1": "ar1", "sine": "sine", "trend": "linear_trend"}
-_FILTER_CODES = {"none": None, "log": "log", "linear": "linear_detrend", "poly": "poly_detrend"}
+    cast: Callable[[str], Any] = str
+    is_list: bool = False
+    choices: tuple[str, ...] | None = None
+
+
+CONFIG_KEYS = {
+    "source": ConfigKey(choices=SOURCES),
+    "n": ConfigKey(int),
+    "h": ConfigKey(float),
+    "d": ConfigKey(float),
+    "sigma": ConfigKey(float),
+    "phi": ConfigKey(float, is_list=True),
+    "theta": ConfigKey(float, is_list=True),
+    "path": ConfigKey(),
+    "mode": ConfigKey(choices=TRACE_MODES),
+    "bin-width": ConfigKey(float),
+    "skip": ConfigKey(int),
+    "take": ConfigKey(int),
+    "runs": ConfigKey(int),
+    "seed": ConfigKey(int),
+    "corruption": ConfigKey(CORRUPTIONS, is_list=True, choices=tuple(CORRUPTIONS.names)),
+    "cycles": ConfigKey(int),
+    "filter": ConfigKey(FILTERS, is_list=True, choices=tuple(FILTERS.names)),
+    "degree": ConfigKey(int),
+    "estimator": ConfigKey(METHODS, is_list=True, choices=tuple(METHODS.names)),
+    "format": ConfigKey(choices=FORMATS),
+    "output": ConfigKey(),
+    "workers": ConfigKey(int),
+}
 
 
 def parse_config(text: str) -> dict[str, list[str]]:
@@ -435,112 +484,74 @@ def parse_config(text: str) -> dict[str, list[str]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
-        if key not in _LIST_KEYS and key not in _SCALAR_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in mapping and key not in _LIST_KEYS:
+        if key in mapping and not CONFIG_KEYS[key].is_list:
             raise ConfigError(f"line {lineno}: key {key!r} given more than once")
         mapping.setdefault(key, []).append(value)
     return mapping
 
 
-def _get_scalar(mapping: dict[str, list[str]], key: str, default: str | None = None) -> str | None:
-    if key in mapping:
-        return mapping[key][0]
-    return default
+def _cast(key: str, raws: list[str]) -> Any:
+    """One key's values read by its ConfigKey: a list, or the first value."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    spec = CONFIG_KEYS[key]
+    values = []
+    for raw in raws:
+        try:
+            values.append(spec.cast(raw))
+        except ValueError:
+            raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
+    return values if spec.is_list else values[0]
 
 
-def _parse_num(key: str, raw: str, cast: Callable) -> Any:
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
+def _pick(config: dict[str, Any], **fields: str) -> dict[str, Any]:
+    """Keyword arguments ``field=config[key]`` for the keys that are set."""
+    return {field: config[key] for field, key in fields.items() if key in config}
 
 
 def build_experiment_spec(mapping: dict[str, list[str]]) -> ExperimentSpec:
     """Turn a parsed config mapping into a validated ExperimentSpec."""
-    kind = _get_scalar(mapping, "source", _get_scalar(mapping, "model"))
+    config = {key: _cast(key, raws) for key, raws in mapping.items()}
+    kind = config.get("source")
     if kind is None:
-        raise ConfigError("config needs a 'source' (fgn|farima|ar1|iid|file|trace)")
+        raise ConfigError(f"config needs a 'source' ({'|'.join(SOURCES)})")
 
-    phi = tuple(_parse_num("phi", v, float) for v in mapping.get("phi", []))
-    theta = tuple(_parse_num("theta", v, float) for v in mapping.get("theta", []))
-    skip = _parse_num("skip", _get_scalar(mapping, "skip", "0"), int)
-    take_raw = _get_scalar(mapping, "take")
-    take = _parse_num("take", take_raw, int) if take_raw is not None else None
-
+    window = _pick(config, skip="skip", take="take")
     source: GeneratorSource | FileSource | TraceSource
-    if kind in ("fgn", "farima", "ar1", "iid"):
-        n_raw = _get_scalar(mapping, "n")
-        if n_raw is None:
+    if kind in GENERATOR_MODELS:
+        if "n" not in config:
             raise ConfigError("generator sources need 'n'")
-        source = GeneratorSource(
-            model=kind,
-            n=_parse_num("n", n_raw, int),
-            hurst=_parse_num("h", _get_scalar(mapping, "h", "0.7"), float),
-            d=_parse_num("d", _get_scalar(mapping, "d", "0.2"), float),
-            phi=phi,
-            theta=theta,
-            sigma=_parse_num("sigma", _get_scalar(mapping, "sigma", "1.0"), float),
-        )
-    elif kind == "file":
-        path = _get_scalar(mapping, "path")
-        if path is None:
-            raise ConfigError("file sources need 'path'")
-        source = FileSource(path=path, skip=skip, take=take)
-    elif kind == "trace":
-        path = _get_scalar(mapping, "path")
-        if path is None:
-            raise ConfigError("trace sources need 'path'")
-        width_raw = _get_scalar(mapping, "bin-width")
-        source = TraceSource(
-            path=path,
-            mode=_get_scalar(mapping, "mode", "interarrival"),
-            bin_width=_parse_num("bin-width", width_raw, float) if width_raw else None,
-            skip=skip,
-            take=take,
-        )
+        fields = _pick(config, n="n", hurst="h", d="d", phi="phi", theta="theta", sigma="sigma")
+        source = GeneratorSource(model=kind, **fields)
+    elif kind in ("file", "trace"):
+        if "path" not in config:
+            raise ConfigError(f"{kind} sources need 'path'")
+        if kind == "file":
+            source = FileSource(path=config["path"], **window)
+        else:
+            fields = _pick(config, mode="mode", bin_width="bin-width")
+            source = TraceSource(path=config["path"], **fields, **window)
     else:
         raise ConfigError(f"unknown source {kind!r}")
 
-    corruptions: list[CorruptionKind | None] = []
-    for code in mapping.get("corruption", []):
-        if code not in _CORRUPTION_CODES:
-            raise ConfigError(f"unknown corruption {code!r}")
-        name = _CORRUPTION_CODES[code]
-        corruptions.append(None if name is None else CorruptionKind(name=name))
-    filters: list[FilterKind | None] = []
-    degree = _parse_num("degree", _get_scalar(mapping, "degree", "10"), int)
-    for code in mapping.get("filter", []):
-        if code not in _FILTER_CODES:
-            raise ConfigError(f"unknown filter {code!r}")
-        name = _FILTER_CODES[code]
-        filters.append(None if name is None else FilterKind(name=name, degree=degree))
-
-    estimators: list[str] = []
-    for code in mapping.get("estimator", ["all"]):
-        if code == "all":
-            estimators.extend(METHOD_ORDER)
-        elif code in _ESTIMATOR_CODES:
-            estimators.append(_ESTIMATOR_CODES[code])
-        else:
-            raise ConfigError(f"unknown estimator {code!r}")
-    seen = set()
-    estimators = [m for m in estimators if not (m in seen or seen.add(m))]
+    cycles = _pick(config, cycles="cycles")
+    corruptions = tuple(
+        None if name is None else CorruptionKind(name=name, **cycles)
+        for names in config.get("corruption", []) for name in names
+    )
+    degree = _pick(config, degree="degree")
+    filters = tuple(
+        None if name is None else FilterKind(name=name, **degree)
+        for names in config.get("filter", []) for name in names
+    )
+    methods = [name for names in config.get("estimator", [METHOD_ORDER]) for name in names]
 
     return ExperimentSpec(
         source=source,
-        corruptions=tuple(corruptions),
-        filters=tuple(filters),
-        estimators=tuple(estimators),
-        runs=_parse_num("runs", _get_scalar(mapping, "runs", "1"), int),
-        base_seed=_parse_num("seed", _get_scalar(mapping, "seed", "0"), int),
-        workers=_parse_num("workers", _get_scalar(mapping, "workers", "1"), int),
-        output=_get_scalar(mapping, "output", "-"),
-        fmt=_get_scalar(mapping, "format", "csv"),
+        corruptions=corruptions,
+        filters=filters,
+        estimators=tuple(dict.fromkeys(methods)),
+        **_pick(config, runs="runs", base_seed="seed", workers="workers", output="output", fmt="format"),
     )
-
-
-def load_experiment_spec(path: str | Path) -> ExperimentSpec:
-    """Read and validate a config file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return build_experiment_spec(parse_config(text))

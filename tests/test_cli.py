@@ -1,10 +1,12 @@
+import argparse
 import io
 
 import numpy as np
 import pytest
 
 import hurstkit as hk
-from hurstkit.cli import main
+from hurstkit.cli import build_parser, main
+from hurstkit.harness import CONFIG_KEYS, CORRUPTIONS, FILTERS, METHODS
 
 
 def run_cli(*args):
@@ -37,12 +39,25 @@ def test_generate_and_estimate_round_trip(tmp_path, capsys):
 
 
 def test_generate_matches_library(tmp_path):
-    out = tmp_path / "iid.txt"
-    run_cli("generate", "--model", "iid", "--n", "100", "--seed", "7", "--out", str(out))
-    with open(out) as fh:
-        series = hk.read_series(fh)
-    want = hk.gen_iid_gaussian(100, 7)
-    assert np.array_equal(series.values, want.values)
+    cases = [
+        (["--model", "iid"], hk.gen_iid_gaussian(100, 7)),
+        (["--model", "fgn", "--h", "0.8"], hk.gen_fgn(hk.FgnSpec(hurst=0.8, n=100, seed=7))),
+        (
+            ["--model", "farima", "--d", "0.3", "--sigma", "2"],
+            hk.gen_farima(hk.FarimaSpec(d=0.3, n=100, seed=7, sigma=2.0)),
+        ),
+        (
+            ["--model", "ar1", "--phi", "0.5", "--sigma", "0.5"],
+            hk.gen_ar1(hk.Ar1Spec(phi=0.5, n=100, seed=7, sigma=0.5)),
+        ),
+        (["--model", "ar1"], hk.gen_ar1(hk.Ar1Spec(phi=0.9, n=100, seed=7))),
+    ]
+    out = tmp_path / "series.txt"
+    for flags, want in cases:
+        assert run_cli("generate", *flags, "--n", "100", "--seed", "7", "--out", str(out)) == 0
+        with open(out) as fh:
+            series = hk.read_series(fh)
+        assert np.array_equal(series.values, want.values), flags
 
 
 def test_corrupt_and_filter_commands(tmp_path):
@@ -197,3 +212,82 @@ def test_matrix_workers_flag_matches_serial(tmp_path, capsys):
     serial = capsys.readouterr().out
     assert run_cli(*args, "--workers", "4") == 0
     assert capsys.readouterr().out == serial
+
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["corrupt", "--kind", "sine", "--cycles", "0", "--in", _write(d / "s.txt", b"1\n2\n3\n")],
+        lambda d: ["filter", "--kind", "poly", "--degree", "0", "--in", _write(d / "s.txt", b"1\n2\n3\n")],
+        lambda d: ["generate", "--model", "farima", "--sigma", "0", "--n", "100"],
+        lambda d: ["matrix", "--config", _write(d / "c.cfg", b"source = iid\nn = 2048\nfilter = poly\ndegree = 0\n")],
+        lambda d: ["ingest", "--trace", _write(d / "t.txt", b"0.5 64\n\xc3\xa9 1\n"), "--mode", "interarrival"],
+        lambda d: ["estimate", "--method", "rs", "--in", _write(d / "s.txt", b"1\n\xff\n")],
+    ],
+    ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii"],
+)
+def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
+    assert run_cli(*argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hurstkit: error: ")
+    assert captured.out == ""
+
+
+def test_matrix_flag_value_reports_config_parser_message(capsys):
+    assert run_cli("matrix", "--source", "iid", "--n", "x") == 2
+    assert capsys.readouterr().err == "hurstkit: error: key 'n': cannot parse 'x'\n"
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[name]
+
+
+def test_every_config_key_has_a_matrix_flag():
+    flags = {flag for action in _subparser("matrix")._actions for flag in action.option_strings}
+    assert {f"--{key}" for key in CONFIG_KEYS} <= flags
+
+
+@pytest.mark.parametrize(
+    "command, flag, vocabulary",
+    [("corrupt", "--kind", CORRUPTIONS), ("filter", "--kind", FILTERS), ("estimate", "--method", METHODS)],
+)
+def test_subcommands_accept_every_config_code(command, flag, vocabulary):
+    sub = _subparser(command)
+    for code in vocabulary.names:
+        if code != "none":  # names the untransformed matrix row, not a transform
+            assert getattr(sub.parse_args([flag, code]), flag[2:]) == code
+
+
+def test_estimate_accepts_long_method_names(tmp_path, capsys):
+    src = tmp_path / "s.txt"
+    run_cli("generate", "--model", "fgn", "--n", "4096", "--seed", "1", "--out", str(src))
+    assert run_cli("estimate", "--method", "pgram", "--in", str(src)) == 0
+    short = capsys.readouterr().out
+    assert run_cli("estimate", "--method", "periodogram", "--in", str(src)) == 0
+    assert capsys.readouterr().out == short
+
+
+def test_matrix_degree_and_cycles_flags_match_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "source = fgn\nn = 4096\nseed = 3\ncorruption = sine\nfilter = poly\n"
+        "cycles = 3\ndegree = 4\nestimator = aggvar\n",
+        encoding="ascii",
+    )
+    assert run_cli("matrix", "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(
+        "matrix", "--source", "fgn", "--n", "4096", "--seed", "3", "--corruption", "sine",
+        "--filter", "poly", "--cycles", "3", "--degree", "4", "--estimator", "aggvar",
+    ) == 0
+    assert capsys.readouterr().out == from_config
+    assert run_cli("matrix", "--config", str(cfg), "--cycles", "10", "--degree", "10") == 0
+    assert capsys.readouterr().out != from_config

@@ -103,6 +103,16 @@ def test_local_whittle_objective_shape():
     assert hk.local_whittle_objective(0.9, lam, power) > at_min
 
 
+def test_local_whittle_minimize_minimises_the_public_objective():
+    series = hk.gen_fgn(hk.FgnSpec(hurst=0.8, n=4096, seed=3))
+    pgram = hk.periodogram(series)
+    lam, power = pgram.frequencies, pgram.power
+    got = local_whittle_minimize(lam, power)
+    at_min = hk.local_whittle_objective(got, lam, power)
+    assert hk.local_whittle_objective(got - 1e-3, lam, power) > at_min
+    assert hk.local_whittle_objective(got + 1e-3, lam, power) > at_min
+
+
 # --- preconditions ----------------------------------------------------------
 
 

@@ -187,6 +187,8 @@ def test_parse_config_round_trip():
 def test_parse_config_errors():
     with pytest.raises(hk.ConfigError, match="unknown key"):
         parse_config("bogus = 1\n")
+    with pytest.raises(hk.ConfigError, match="unknown key 'model'"):
+        parse_config("model = fgn\n")  # the old alias of 'source'
     with pytest.raises(hk.ConfigError, match="more than once"):
         parse_config("n = 1\nn = 2\n")
     with pytest.raises(hk.ConfigError):
@@ -248,6 +250,50 @@ def test_config_poly_degree_flows_to_filter():
         parse_config("source = iid\nn = 2048\nfilter = poly\ndegree = 4\nestimator = rs\n")
     )
     assert spec.filters == (FilterKind.poly_detrend(4),)
+
+
+def test_config_sine_cycles_flow_to_corruption():
+    text = "source = fgn\nn = 4096\nseed = 2\ncorruption = sine\ncorruption = ar1\nestimator = aggvar\n"
+    spec = build_experiment_spec(parse_config(text + "cycles = 3\n"))
+    assert spec.corruptions == (CorruptionKind(name="sine", cycles=3), CorruptionKind(name="ar1", cycles=3))
+    default = format_matrix(run_matrix(build_experiment_spec(parse_config(text))))
+    three = format_matrix(run_matrix(spec))
+    sin_row = [line for line in three.splitlines() if ",Sin," in line]
+    assert len(sin_row) == 1 and sin_row[0] not in default
+
+
+@pytest.mark.parametrize(
+    "body, error, match",
+    [
+        ("source = fgn\nn = 4096\nh = 1.5\n", hk.BadHurst, "H in"),
+        ("source = farima\nn = 4096\nd = 0.7\n", hk.BadHurst, "d in"),
+        ("source = farima\nn = 4096\nsigma = 0\n", ValueError, "innovation std"),
+        ("source = ar1\nn = 4096\nsigma = 0\n", ValueError, "innovation std"),
+        ("source = fgn\nn = 8\n", hk.SeriesTooShort, "N >= 16"),
+        ("source = iid\nn = 0\n", hk.SeriesTooShort, "N >= 1"),
+    ],
+)
+def test_generator_parameters_rejected_when_spec_is_built(body, error, match):
+    with pytest.raises(error, match=match):
+        build_experiment_spec(parse_config(body))
+
+
+def test_generator_source_make_and_describe_use_one_spec():
+    source = GeneratorSource(model="ar1", n=64)
+    assert source.describe() == "64 points AR(1) phi=0.9"
+    want = hk.gen_ar1(hk.Ar1Spec(phi=0.9, n=64, seed=5))
+    np.testing.assert_array_equal(source.make(5).values, want.values)
+
+
+def test_vocabularies_match_the_lower_layers():
+    from hurstkit.harness import CORRUPTIONS, FILTERS, METHODS
+    from hurstkit.transforms import CORRUPTION_NAMES, FILTER_NAMES
+
+    assert tuple(METHODS.labels) == hk.METHOD_ORDER
+    assert METHODS("all") == hk.METHOD_ORDER
+    assert tuple(name for name in CORRUPTIONS.labels if name) == CORRUPTION_NAMES
+    assert tuple(name for name in FILTERS.labels if name) == FILTER_NAMES
+    assert CORRUPTIONS("none") == FILTERS("none") == (None,)
 
 
 def test_config_output_and_format_fields():
