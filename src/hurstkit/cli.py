@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .errors import HurstkitError
+from .errors import ConfigError, HurstkitError
 from .estimators import estimate
 from .harness import (
     CONFIG_KEYS,
@@ -26,6 +26,7 @@ from .harness import (
     FileSource,
     GeneratorSource,
     TraceSource,
+    _pick,
     build_experiment_spec,
     export_acf,
     format_matrix,
@@ -59,41 +60,38 @@ def _write_series_arg(series, path: str) -> int:
     return 0
 
 
+# Flags without a default are passed on only when given, so every parameter
+# default lives once, in the dataclass that takes it.
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    source = GeneratorSource(
-        model=args.model,
-        n=args.n,
-        hurst=args.h,
-        d=args.d,
-        phi=tuple(args.phi or ()),
-        theta=tuple(args.theta or ()),
-        sigma=args.sigma,
-    )
-    return _write_series_arg(source.make(args.seed), args.out)
+    fields = _pick(vars(args), n="n", hurst="h", d="d", phi="phi", theta="theta", sigma="sigma")
+    return _write_series_arg(GeneratorSource(model=args.model, **fields).make(args.seed), args.out)
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     series = FileSource(args.infile).make(0)
     (name,) = CORRUPTIONS(args.kind)
-    kind = CorruptionKind(name=name, phi=args.phi, cycles=args.cycles)
+    kind = CorruptionKind(name=name, **_pick(vars(args), phi="phi", cycles="cycles"))
     return _write_series_arg(corrupt(series, kind, seed=args.seed), args.out)
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
     series = FileSource(args.infile).make(0)
     (name,) = FILTERS(args.kind)
-    kind = FilterKind(name=name, degree=args.degree)
+    kind = FilterKind(name=name, **_pick(vars(args), degree="degree"))
     return _write_series_arg(apply_filter(series, kind), args.out)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    methods = METHODS(args.method)
+    if args.bandwidth is not None and "local_whittle" not in methods:
+        raise ConfigError("--bandwidth applies only to --method lwhittle or all")
     series = FileSource(args.infile).make(0)
-    reports = []
-    for method in METHODS(args.method):
-        kwargs = {}
-        if method == "local_whittle" and args.bandwidth is not None:
-            kwargs["m"] = args.bandwidth
-        reports.append(estimate(series, method, **kwargs))
+    reports = [
+        estimate(series, method, **({"m": args.bandwidth} if method == "local_whittle" else {}))
+        for method in methods
+    ]
     with _open_out(args.out) as fh:
         fh.write("method,h,ci_lo,ci_hi,slope,intercept,slope_se,fit_points,notes\n")
         for rep in reports:
@@ -124,10 +122,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    source = TraceSource(
-        path=args.trace, mode=args.mode, bin_width=args.bin_width, skip=args.skip, take=args.take
-    )
-    return _write_series_arg(source.make(0), args.out)
+    fields = _pick(vars(args), bin_width="bin_width", skip="skip", take="take")
+    return _write_series_arg(TraceSource(path=args.trace, mode=args.mode, **fields).make(0), args.out)
 
 
 def _cmd_acf(args: argparse.Namespace) -> int:
@@ -167,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=GENERATOR_MODELS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=0.7, help="Hurst parameter (fgn)")
-    p.add_argument("--d", type=float, default=0.2, help="fractional differencing (farima)")
+    p.add_argument("--h", type=float, help="Hurst parameter (fgn)")
+    p.add_argument("--d", type=float, help="fractional differencing (farima)")
     p.add_argument("--phi", type=float, action="append", help="AR coefficient (repeatable)")
     p.add_argument("--theta", type=float, action="append", help="MA coefficient (repeatable)")
-    p.add_argument("--sigma", type=float, default=1.0, help="innovation std")
+    p.add_argument("--sigma", type=float, help="innovation std")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_generate)
 
@@ -180,15 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phi", type=float, default=0.9)
-    p.add_argument("--cycles", type=int, default=10)
+    p.add_argument("--phi", type=float)
+    p.add_argument("--cycles", type=int)
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("filter", help="apply a preprocessing filter")
     p.add_argument("--kind", required=True, choices=[c for c in FILTERS.names if c != "none"])
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
-    p.add_argument("--degree", type=int, default=10)
+    p.add_argument("--degree", type=int)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("estimate", help="estimate the Hurst parameter")
@@ -203,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--mode", required=True, choices=TRACE_MODES)
     p.add_argument("--bin-width", type=float)
-    p.add_argument("--skip", type=int, default=0)
+    p.add_argument("--skip", type=int)
     p.add_argument("--take", type=int)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_ingest)

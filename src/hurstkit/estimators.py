@@ -157,9 +157,43 @@ def _fit_indices(grid: np.ndarray, lo: float, hi: float) -> tuple[int, int, bool
     return 0, grid.size - 1, True
 
 
-def _flag_range(report_diags: dict[str, Any], hurst: float) -> dict[str, Any]:
-    report_diags["outside_nominal_range"] = not (0.5 < hurst < 1.0)
-    return report_diags
+def _require(series: TimeSeries, n_min: int, what: str) -> int:
+    """N of a series that is long enough and not constant, else the refusal."""
+    n = len(series)
+    if n < n_min:
+        raise SeriesTooShort(f"{what} needs N >= {n_min}, got {n}")
+    if series.stats.std == 0.0:
+        raise DegenerateSeries(f"{what} undefined for a constant series")
+    return n
+
+
+def _report(
+    method: str, hurst: float, fit: LogLogFit | None, diags: dict[str, Any], ci95=None
+) -> EstimatorReport:
+    """The report, with H outside (1/2, 1) flagged in the diagnostics."""
+    diags["outside_nominal_range"] = not (0.5 < hurst < 1.0)
+    return EstimatorReport(method=method, hurst=hurst, fit=fit, ci95=ci95, diagnostics=diags)
+
+
+def _block_fit(sizes, values, fit_min: float, fit_max: float) -> tuple[LogLogFit, dict[str, Any]]:
+    """Log-log fit of the positive per-block-size statistics over [fit_min, fit_max].
+
+    Falls back to every block size when fewer than three lie in the
+    window, and says so in the diagnostics.
+    """
+    sizes = np.asarray(sizes, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    keep = values > 0.0
+    sizes, values = sizes[keep], values[keep]
+    lo, hi, fell_back = _fit_indices(sizes, fit_min, fit_max)
+    fit = loglog_fit(sizes, values, fit_range=(lo, hi))
+    diags: dict[str, Any] = {
+        "block_sizes": int(sizes.size),
+        "fit_window": (float(sizes[lo]), float(sizes[hi])),
+    }
+    if fell_back:
+        diags["fit_range"] = "full(fallback)"
+    return fit, diags
 
 
 def est_rs(
@@ -181,18 +215,13 @@ def est_rs(
     pushing iid data past H = 0.55, and blocks much longer than that
     start reacting to slow additive components.
     """
-    n = len(series)
-    if n < 64:
-        raise SeriesTooShort(f"R/S needs N >= 64, got {n}")
-    if series.stats.std == 0.0:
-        raise DegenerateSeries("R/S undefined for a constant series")
+    n = _require(series, 64, "R/S")
     n_max = n_max if n_max is not None else max(n // 10, 2 * n_min)
     fit_max = fit_max if fit_max is not None else max(n // 100, fit_min + 2)
     grid = _log_grid(max(2, n_min), max(n_min + 1, n_max), grid_points)
     grid = grid[grid <= n]
 
-    sizes = []
-    ratios = []
+    ratios = []  # 0 where every block is constant: _block_fit drops the size
     for block in grid:
         nblocks = n // block
         chunk = series.values[: nblocks * block].reshape(nblocks, block)
@@ -201,26 +230,11 @@ def est_rs(
         rng_ = walks.max(axis=1) - walks.min(axis=1)
         std = chunk.std(axis=1)
         ok = std > 0.0
-        if not ok.any():
-            continue
-        sizes.append(block)
-        ratios.append(float((rng_[ok] / std[ok]).mean()))
-    sizes = np.asarray(sizes, dtype=np.float64)
-    ratios = np.asarray(ratios, dtype=np.float64)
-    keep = ratios > 0.0
-    sizes, ratios = sizes[keep], ratios[keep]
+        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
 
-    lo, hi, fell_back = _fit_indices(sizes, fit_min, fit_max)
-    fit = loglog_fit(sizes, ratios, fit_range=(lo, hi))
-    hurst = fit.slope
-    diags: dict[str, Any] = {
-        "block_sizes": int(sizes.size),
-        "c_h": math.exp(fit.intercept),
-        "fit_window": (float(sizes[lo]), float(sizes[hi])),
-    }
-    if fell_back:
-        diags["fit_range"] = "full(fallback)"
-    return EstimatorReport(method="rs", hurst=hurst, fit=fit, diagnostics=_flag_range(diags, hurst))
+    fit, diags = _block_fit(grid, ratios, fit_min, fit_max)
+    diags["c_h"] = math.exp(fit.intercept)
+    return _report("rs", fit.slope, fit, diags)
 
 
 def est_aggvar(
@@ -233,35 +247,13 @@ def est_aggvar(
     fit_max: int | None = None,
 ) -> EstimatorReport:
     """Aggregated-variance estimator: var of block means ~ m^(2H-2)."""
-    n = len(series)
-    if n < 1000:
-        raise SeriesTooShort(f"aggregated variance needs N >= 1000, got {n}")
-    if series.stats.std == 0.0:
-        raise DegenerateSeries("aggregated variance undefined for a constant series")
+    n = _require(series, 1000, "aggregated variance")
     m_max = m_max if m_max is not None else max(n // 30, 2 * m_min)
     fit_max = fit_max if fit_max is not None else n // 100
     grid = _log_grid(m_min, m_max, grid_points)
-
-    sizes = []
-    variances = []
-    for m in grid:
-        var = float(aggregate(series, int(m)).values.var())
-        if var > 0.0:
-            sizes.append(m)
-            variances.append(var)
-    sizes = np.asarray(sizes, dtype=np.float64)
-    variances = np.asarray(variances, dtype=np.float64)
-
-    lo, hi, fell_back = _fit_indices(sizes, fit_min, fit_max)
-    fit = loglog_fit(sizes, variances, fit_range=(lo, hi))
-    hurst = 1.0 + fit.slope / 2.0
-    diags: dict[str, Any] = {
-        "block_sizes": int(sizes.size),
-        "fit_window": (float(sizes[lo]), float(sizes[hi])),
-    }
-    if fell_back:
-        diags["fit_range"] = "full(fallback)"
-    return EstimatorReport(method="aggvar", hurst=hurst, fit=fit, diagnostics=_flag_range(diags, hurst))
+    variances = [float(aggregate(series, int(m)).values.var()) for m in grid]
+    fit, diags = _block_fit(grid, variances, fit_min, fit_max)
+    return _report("aggvar", 1.0 + fit.slope / 2.0, fit, diags)
 
 
 def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> EstimatorReport:
@@ -269,11 +261,7 @@ def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> Estim
 
     Fits the lowest ``freq_fraction`` of the Fourier frequencies.
     """
-    n = len(series)
-    if n < 1000:
-        raise SeriesTooShort(f"periodogram estimator needs N >= 1000, got {n}")
-    if series.stats.std == 0.0:
-        raise DegenerateSeries("periodogram estimator undefined for a constant series")
+    _require(series, 1000, "periodogram estimator")
     if not (0.0 < freq_fraction <= 1.0):
         raise ValueError(f"freq_fraction must be in (0, 1], got {freq_fraction}")
     pgram = compute_periodogram(series)
@@ -282,15 +270,8 @@ def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> Estim
     power = pgram.power[positive]
     used = max(3, int(freq_fraction * freqs.size))
     fit = loglog_fit(freqs, power, fit_range=(0, used - 1))
-    hurst = (1.0 - fit.slope) / 2.0
-    diags: dict[str, Any] = {
-        "bins_used": used,
-        "beta": -fit.slope,
-        "c_f": math.exp(fit.intercept),
-    }
-    return EstimatorReport(
-        method="periodogram", hurst=hurst, fit=fit, diagnostics=_flag_range(diags, hurst)
-    )
+    diags = {"bins_used": used, "beta": -fit.slope, "c_f": math.exp(fit.intercept)}
+    return _report("periodogram", (1.0 - fit.slope) / 2.0, fit, diags)
 
 
 def _local_whittle_objective(
@@ -334,12 +315,7 @@ def est_local_whittle(series: TimeSeries, m: int | None = None) -> EstimatorRepo
     interval H +/- 1.96/(2 sqrt(m)) is reported in the diagnostics only
     and is not authoritative.
     """
-    n = len(series)
-    if n < 1000:
-        raise SeriesTooShort(f"local Whittle needs N >= 1000, got {n}")
-    if series.stats.std == 0.0:
-        raise DegenerateSeries("local Whittle undefined for a constant series")
-    nfreq = (n - 1) // 2
+    nfreq = (_require(series, 1000, "local Whittle") - 1) // 2
     bandwidth = nfreq if m is None else m
     if not (8 <= bandwidth <= nfreq):
         raise BandwidthOutOfRange(f"bandwidth must be in [8, {nfreq}], got {bandwidth}")
@@ -354,9 +330,7 @@ def est_local_whittle(series: TimeSeries, m: int | None = None) -> EstimatorRepo
         "asymptotic_ci95": (hurst - half, hurst + half),
         "ci_note": "asymptotic, non-authoritative",
     }
-    return EstimatorReport(
-        method="local_whittle", hurst=hurst, fit=None, diagnostics=_flag_range(diags, hurst)
-    )
+    return _report("local_whittle", hurst, None, diags)
 
 
 def est_wavelet(
@@ -376,11 +350,7 @@ def est_wavelet(
     (relaxed to 8 when that leaves fewer than three octaves).  ci95 is a
     95% interval ON THE FITTED LINE, not on H itself.
     """
-    n = len(series)
-    if n < 1024:
-        raise SeriesTooShort(f"wavelet estimator needs N >= 1024, got {n}")
-    if series.stats.std == 0.0:
-        raise DegenerateSeries("wavelet estimator undefined for a constant series")
+    _require(series, 1024, "wavelet estimator")
     if j1 < 1:
         raise ValueError(f"j1 must be >= 1, got {j1}")
     pyramid = dwt(series, order=order)
@@ -428,13 +398,7 @@ def est_wavelet(
         "min_level_coeffs": threshold,
         "ci_note": "fitted-line interval, not an interval on H",
     }
-    return EstimatorReport(
-        method="wavelet",
-        hurst=hurst,
-        fit=fit,
-        ci95=(hurst - half, hurst + half),
-        diagnostics=_flag_range(diags, hurst),
-    )
+    return _report("wavelet", hurst, fit, diags, ci95=(hurst - half, hurst + half))
 
 
 _ESTIMATORS: dict[str, Callable[..., EstimatorReport]] = {

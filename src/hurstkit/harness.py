@@ -289,29 +289,22 @@ def _materialize_rows(
     """Base series for one run plus each transform applied to that same base."""
     seed = spec.base_seed + run
     base = spec.source.make(seed)
+    corrupt_seed = seed + CORRUPTION_SEED_OFFSET
+    # (row kind, vocabulary, transform or None for the untransformed row, apply)
+    steps = [
+        ("corrupt", CORRUPTIONS, kind, lambda s, k: corrupt(s, k, seed=corrupt_seed))
+        for kind in spec.corruptions
+    ]
+    steps += [("filter", FILTERS, kind, apply_filter) for kind in spec.filters]
     rows: list[tuple[MatrixRow, TimeSeries | CellError]] = []
-
-    include_none = (
-        (None in spec.corruptions)
-        or (None in spec.filters)
-        or (not spec.corruptions and not spec.filters)
-    )
-    if include_none:
+    if not steps or any(kind is None for _, _, kind, _ in steps):
         rows.append((MatrixRow(run=run, seed=seed, kind="none", label="None"), base))
-    for kind in spec.corruptions:
+    for row_kind, vocabulary, kind, apply in steps:
         if kind is None:
             continue
-        row = MatrixRow(run=run, seed=seed, kind="corrupt", label=CORRUPTIONS.labels[kind.name])
+        row = MatrixRow(run=run, seed=seed, kind=row_kind, label=vocabulary.labels[kind.name])
         try:
-            rows.append((row, corrupt(base, kind, seed=seed + CORRUPTION_SEED_OFFSET)))
-        except HurstkitError as exc:
-            rows.append((row, CellError(code=type(exc).__name__, message=str(exc))))
-    for kind in spec.filters:
-        if kind is None:
-            continue
-        row = MatrixRow(run=run, seed=seed, kind="filter", label=FILTERS.labels[kind.name])
-        try:
-            rows.append((row, apply_filter(base, kind)))
+            rows.append((row, apply(base, kind)))
         except HurstkitError as exc:
             rows.append((row, CellError(code=type(exc).__name__, message=str(exc))))
     return base, rows
@@ -476,7 +469,11 @@ def parse_config(text: str) -> dict[str, list[str]]:
     """Parse the line-oriented key=value format (repeated keys make lists)."""
     mapping: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # '#' opens a comment at the start of a line or after whitespace only
+        cut = next(
+            (i for i, ch in enumerate(raw) if ch == "#" and (i == 0 or raw[i - 1].isspace())), None
+        )
+        line = raw[:cut].strip()
         if not line:
             continue
         if "=" not in line:
@@ -507,8 +504,8 @@ def _cast(key: str, raws: list[str]) -> Any:
 
 
 def _pick(config: dict[str, Any], **fields: str) -> dict[str, Any]:
-    """Keyword arguments ``field=config[key]`` for the keys that are set."""
-    return {field: config[key] for field, key in fields.items() if key in config}
+    """Keyword arguments ``field=config[key]`` for the keys that are set (not None)."""
+    return {field: config[key] for field, key in fields.items() if config.get(key) is not None}
 
 
 def build_experiment_spec(mapping: dict[str, list[str]]) -> ExperimentSpec:

@@ -13,10 +13,10 @@ A :class:`PacketTrace` is columnar: one read-only float64 array of
 timestamps and one read-only int64 array of sizes, with no per-packet
 Python objects.  :func:`parse_packet_trace` reads its input once into a
 buffer and hands it to NumPy's C text reader.  Whenever that reader
-rejects the text, or its columns fail the checks (finite timestamps,
-non-negative sizes, non-decreasing timestamps), or the text is empty or
-not ASCII, the same buffer is parsed again by the line-by-line scanner
-``_scan``.  The scanner is the reference for what the format accepts and
+rejects the text, or :class:`PacketTrace` refuses its columns (a
+timestamp that is not finite or decreases, a negative size), or the
+text is empty or not ASCII, the same buffer is parsed again by the
+line-by-line scanner ``_scan``.  The scanner is the reference for what the format accepts and
 the only source of diagnostics, so every error names the line and
 column it always did; inputs only the scanner accepts (comment lines,
 ``1_000``, non-ASCII digits) still parse, just at the scanner's speed.
@@ -88,8 +88,10 @@ class PacketTrace:
     """Ordered packets as two columns plus a free-form source label.
 
     ``timestamps`` (seconds) and ``sizes`` (bytes) are copied into
-    read-only float64 and int64 arrays; sizes must be whole numbers and
-    timestamps must not decrease.
+    read-only float64 and int64 arrays; timestamps must be finite and
+    must not decrease, sizes must be non-negative whole numbers: what
+    :func:`parse_packet_trace` accepts, so every trace serializes to
+    text that parses back to it.
     """
 
     __slots__ = ("_timestamps", "_sizes", "source")
@@ -107,6 +109,10 @@ class PacketTrace:
             raise ValueError("packet sizes must be whole numbers")
         if ts.size != sz.size:
             raise ValueError(f"{ts.size} timestamps but {sz.size} sizes")
+        if not np.isfinite(ts).all():
+            raise ValueError("packet timestamps must be finite")
+        if (sz < 0).any():
+            raise ValueError("packet sizes must be >= 0")
         drops = np.flatnonzero(np.diff(ts) < 0)
         if drops.size:
             i = int(drops[0]) + 1
@@ -173,18 +179,15 @@ def _scan(lines: Iterable[str]) -> tuple[list[float], list[int]]:
     return timestamps, sizes
 
 
-def _load_columns(buf: bytes) -> np.ndarray | None:
-    """Both columns via NumPy's C reader, or None if the scanner must decide."""
+def _load_trace(buf: bytes, source: str) -> PacketTrace | None:
+    """The trace via NumPy's C reader, or None if the scanner must decide."""
     if _DATA_BYTE.search(buf) is None:
         return None  # loadtxt would warn about empty input
     try:
         table = np.loadtxt(io.BytesIO(buf), dtype=_COLUMNS, comments=None, ndmin=1)
-    except ValueError:
+        return PacketTrace(table["t"], table["s"], source=source)
+    except (ValueError, NonMonotoneTimestamp):
         return None
-    ts, sz = table["t"], table["s"]
-    if not (np.isfinite(ts).all() and (sz >= 0).all() and (np.diff(ts) >= 0).all()):
-        return None
-    return table
 
 
 def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
@@ -203,11 +206,10 @@ def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
     except UnicodeEncodeError:
         return PacketTrace(*_scan(text.split("\n")), source=source)
     del text  # keep one copy of the characters alive, not two
-    table = _load_columns(buf)
-    if table is None:
+    trace = _load_trace(buf, source)
+    if trace is None:
         return PacketTrace(*_scan(buf.decode("ascii").split("\n")), source=source)
-    del buf
-    return PacketTrace(table["t"], table["s"], source=source)
+    return trace
 
 
 def serialize_packet_trace(trace: PacketTrace, stream: IO[str]) -> None:

@@ -203,6 +203,9 @@ def test_estimate_bandwidth_flag(tmp_path, capsys):
     assert run_cli("estimate", "--method", "lwhittle", "--in", str(src), "--bandwidth", "64") == 0
     out = capsys.readouterr().out
     assert "bandwidth=64" in out
+    # refused before the input is read
+    assert run_cli("estimate", "--method", "rs", "--in", str(tmp_path / "none.txt"), "--bandwidth", "64") == 2
+    assert capsys.readouterr().err == "hurstkit: error: --bandwidth applies only to --method lwhittle or all\n"
 
 
 def test_matrix_workers_flag_matches_serial(tmp_path, capsys):
@@ -228,8 +231,11 @@ def _write(path, data: bytes):
         lambda d: ["matrix", "--config", _write(d / "c.cfg", b"source = iid\nn = 2048\nfilter = poly\ndegree = 0\n")],
         lambda d: ["ingest", "--trace", _write(d / "t.txt", b"0.5 64\n\xc3\xa9 1\n"), "--mode", "interarrival"],
         lambda d: ["estimate", "--method", "rs", "--in", _write(d / "s.txt", b"1\n\xff\n")],
+        lambda d: ["estimate", "--method", "rs", "--bandwidth", "64",
+                   "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(200)))],
     ],
-    ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii"],
+    ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii",
+         "bandwidth-without-lwhittle"],
 )
 def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
     assert run_cli(*argv(tmp_path)) == 2

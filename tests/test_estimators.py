@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hurstkit as hk
 from hurstkit import (
@@ -168,6 +170,31 @@ def test_affine_invariance(medium_iid, method):
     h0 = estimate(medium_iid, method).hurst
     h1 = estimate(scaled, method).hurst
     assert abs(h1 - h0) < 1e-9
+
+
+# local Whittle is only as exact as its minimiser's xatol
+_AFFINE_TOLERANCE = {"rs": 1e-9, "aggvar": 1e-9, "periodogram": 1e-9, "wavelet": 1e-9, "local_whittle": 1e-6}
+
+
+@pytest.fixture(scope="module")
+def affine_base():
+    series = hk.gen_fgn(hk.FgnSpec(hurst=0.7, n=2048, seed=17))
+    return series, {method: estimate(series, method).hurst for method in hk.METHOD_ORDER}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_scale=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    offset=st.floats(-1e5, 1e5),
+)
+def test_estimators_are_invariant_under_affine_maps(affine_base, log_scale, sign, offset):
+    # x -> a x + b with |a| in [1e-3, 1e3] of either sign and |b| <= 1e5 |a|
+    series, want = affine_base
+    scale = sign * 10.0**log_scale
+    moved = TimeSeries(scale * series.values + offset * abs(scale))
+    for method, tolerance in _AFFINE_TOLERANCE.items():
+        assert abs(estimate(moved, method).hurst - want[method]) <= tolerance, method
 
 
 def test_no_clamping_outside_half_one(medium_iid):

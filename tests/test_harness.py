@@ -182,6 +182,9 @@ def test_parse_config_round_trip():
     assert spec.base_seed == 9
     assert spec.corruptions == (None, CorruptionKind.sine())
     assert spec.estimators == ("rs", "wavelet")
+    # '#' opens a comment only at the start of a line or after whitespace
+    mapping = parse_config("path = d#1/s.txt\nn = 4096   # note\n\t# indented\nh = 0.7\t#tab\n")
+    assert mapping == {"path": ["d#1/s.txt"], "n": ["4096"], "h": ["0.7"]}
 
 
 def test_parse_config_errors():

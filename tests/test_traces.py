@@ -14,7 +14,7 @@ from hurstkit import (
     parse_packet_trace,
     serialize_packet_trace,
 )
-from hurstkit.traces import _load_columns, _scan
+from hurstkit.traces import _load_trace, _scan
 
 
 def trace_of(pairs, source="t"):
@@ -151,6 +151,16 @@ def test_columns_are_read_only_and_typed():
         PacketTrace([0.0, 1.0], [1])
 
 
+@pytest.mark.parametrize(
+    "timestamps, sizes",
+    [([0.0, np.inf], [-5, 3]), ([0.0, np.nan], [1, 2]), ([0.0, 1.0], [-1, 2])],
+    ids=["inf-timestamp", "nan-timestamp", "negative-size"],
+)
+def test_constructor_rejects_what_the_parser_rejects(timestamps, sizes):
+    with pytest.raises(ValueError):
+        PacketTrace(timestamps, sizes)
+
+
 def test_fractional_sizes_are_rejected():
     assert PacketTrace([0.0], np.array([64.0])).records == (PacketRecord(0.0, 64),)
     with pytest.raises(ValueError, match="whole"):
@@ -208,8 +218,8 @@ def _by_parser(text):
 
 
 def _by_fast_path(text):
-    table = _load_columns(text.encode("ascii"))
-    return None if table is None else _exact(table["t"].tolist(), table["s"].tolist())
+    trace = _load_trace(text.encode("ascii"), "")
+    return None if trace is None else _exact(trace.timestamps.tolist(), (r.size for r in trace.records))
 
 
 @pytest.mark.parametrize(
