@@ -17,12 +17,14 @@ run_all() (
   hk generate --model farima --d 0.3 --phi 0.5 --theta 0.2 --sigma 2 --n 4096 --seed 4 --out farima.txt
   hk generate --model ar1 --phi 0.7 --sigma 0.5 --n 4096 --seed 5 --out ar1.txt
   hk generate --model iid --n 4096 --seed 6 --out iid.txt
+  hk generate --model farima --phi 0.5 --phi 0.2 --theta 0.1 --n 4096 --seed 10 --out farima_arma.txt
   # every parameter left at its default
   for m in fgn farima ar1; do hk generate --model $m --n 4096 --seed 9 --out default_$m.txt; done
   # short enough that the R/S and aggregated-variance fits fall back to the full range
   hk generate --model iid --n 1100 --seed 8 --out iid_short.txt
   for k in ar1 sine trend; do hk corrupt --kind $k --in fgn.txt --seed 2 --out corrupt_$k.txt; done
   hk corrupt --kind sine --cycles 3 --in fgn.txt --out corrupt_sine3.txt
+  hk corrupt --kind ar1 --phi 0.5 --seed 4 --in fgn.txt --out corrupt_ar1_phi.txt
   python3 -c "print('\n'.join(str(1.0 + i % 7) for i in range(4096)))" > pos.txt
   for k in log linear poly; do hk filter --kind $k --in pos.txt --out filter_$k.txt; done
   hk filter --kind poly --degree 4 --in fgn.txt --out filter_poly4.txt
@@ -40,6 +42,7 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
 " > trace.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --out bins.txt
   hk ingest --trace trace.txt --mode interarrival --skip 5 --take 10000 --out gaps.txt
+  hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --skip 3 --take 500 --out bins_window.txt
   printf 'source = fgn\nn = 8192\nh = 0.7\nruns = 3\nseed = 1000\ncorruption = none\ncorruption = ar1\ncorruption = sine\ncorruption = trend\nestimator = all\nworkers = 1\nformat = csv\noutput = fgn_matrix.csv\n' > fgn.cfg
   hk matrix --config fgn.cfg
   hk matrix --config fgn.cfg --format aligned --out fgn_matrix.aligned

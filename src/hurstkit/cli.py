@@ -22,16 +22,15 @@ from .harness import (
     FILTERS,
     GENERATOR_MODELS,
     METHODS,
-    TRACE_MODES,
     FileSource,
-    GeneratorSource,
-    TraceSource,
-    _pick,
     build_experiment_spec,
+    build_source,
+    cast_config,
     export_acf,
     format_matrix,
     open_input,
     parse_config,
+    refuse_unread,
     run_matrix,
 )
 from .series import write_series
@@ -60,33 +59,40 @@ def _write_series_arg(series, path: str) -> int:
     return 0
 
 
-# Flags without a default are passed on only when given, so every parameter
-# default lives once, in the dataclass that takes it.
+def _flags(args: argparse.Namespace) -> dict[str, list[str]]:
+    """The config keys given as flags, mapped as parse_config maps a file's lines."""
+    given = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    return {key: v if isinstance(v, list) else [v] for key, v in given.items() if v is not None}
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    fields = _pick(vars(args), n="n", hurst="h", d="d", phi="phi", theta="theta", sigma="sigma")
-    return _write_series_arg(GeneratorSource(model=args.model, **fields).make(args.seed), args.out)
+def _cmd_source(args: argparse.Namespace) -> int:
+    config = cast_config(_flags(args))
+    return _write_series_arg(build_source(config).make(config.get("seed", 0)), args.out)
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    series = FileSource(args.infile).make(0)
     (name,) = CORRUPTIONS(args.kind)
-    kind = CorruptionKind(name=name, **_pick(vars(args), phi="phi", cycles="cycles"))
-    return _write_series_arg(corrupt(series, kind, seed=args.seed), args.out)
+    fields = cast_config(_flags(args)) | ({} if args.corruption_phi is None else {"phi": args.corruption_phi})
+    seed = fields.pop("seed", 0)
+    refuse_unread(fields, transforms=[name], also=("phi",) if name == "ar1" else ())
+    kind = CorruptionKind(name=name, **fields)
+    return _write_series_arg(corrupt(FileSource(args.infile).make(0), kind, seed=seed), args.out)
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    series = FileSource(args.infile).make(0)
     (name,) = FILTERS(args.kind)
-    kind = FilterKind(name=name, **_pick(vars(args), degree="degree"))
-    return _write_series_arg(apply_filter(series, kind), args.out)
+    fields = cast_config(_flags(args))
+    refuse_unread(fields, transforms=[name])
+    kind = FilterKind(name=name, **fields)
+    return _write_series_arg(apply_filter(FileSource(args.infile).make(0), kind), args.out)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     methods = METHODS(args.method)
     if args.bandwidth is not None and "local_whittle" not in methods:
         raise ConfigError("--bandwidth applies only to --method lwhittle or all")
+    if args.dump_fit and (len(methods) != 1 or methods == ("local_whittle",)):
+        raise ConfigError("--dump-fit needs one estimator with a log-log fit, not 'all' or 'lwhittle'")
     series = FileSource(args.infile).make(0)
     reports = [
         estimate(series, method, **({"m": args.bandwidth} if method == "local_whittle" else {}))
@@ -109,21 +115,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 f"{rep.method},{rep.hurst:.6g},{ci_lo},{ci_hi},{slope},{intercept},{se},{pts},\"{notes}\"\n"
             )
     if args.dump_fit:
-        if len(reports) != 1:
-            raise HurstkitError("--dump-fit needs a single estimator, not 'all'")
         fit = reports[0].fit
-        if fit is None:
-            raise HurstkitError(f"estimator {reports[0].method} has no log-log fit to dump")
         with _open_out(args.dump_fit) as fh:
             for i, (lx, ly) in enumerate(zip(fit.xs, fit.ys)):
                 in_fit = 1 if fit.fit_lo <= i <= fit.fit_hi else 0
                 fh.write(f"{np.exp(lx):.10g} {np.exp(ly):.10g} {in_fit}\n")
     return 0
-
-
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    fields = _pick(vars(args), bin_width="bin_width", skip="skip", take="take")
-    return _write_series_arg(TraceSource(path=args.trace, mode=args.mode, **fields).make(0), args.out)
 
 
 def _cmd_acf(args: argparse.Namespace) -> int:
@@ -138,17 +135,23 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.config:
         with open_input(args.config) as fh:
             mapping = parse_config(fh.read())
-    for key in CONFIG_KEYS:
-        values = getattr(args, key)
-        if values is not None:
-            mapping[key] = values if isinstance(values, list) else [values]
-
-    spec = build_experiment_spec(mapping)
+    spec = build_experiment_spec(mapping | _flags(args))
     matrix = run_matrix(spec)
     text = format_matrix(matrix, spec.fmt)
     with _open_out(spec.output) as fh:
         fh.write(text)
     return 0
+
+
+def _key_flags(parser: argparse.ArgumentParser, *keys: str, required: tuple[str, ...] = ()) -> None:
+    """One flag per config key, named after it; cast_config parses what it is given."""
+    for key in keys:
+        spec = CONFIG_KEYS[key]
+        flags = [f"--{key}"] + (["--out"] if key == "output" else [])
+        action = "append" if spec.is_list else "store"
+        parser.add_argument(
+            *flags, dest=key, action=action, choices=spec.choices, required=key in required, help=f"config key {key!r}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,31 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesise a series")
-    p.add_argument("--model", required=True, choices=GENERATOR_MODELS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, help="Hurst parameter (fgn)")
-    p.add_argument("--d", type=float, help="fractional differencing (farima)")
-    p.add_argument("--phi", type=float, action="append", help="AR coefficient (repeatable)")
-    p.add_argument("--theta", type=float, action="append", help="MA coefficient (repeatable)")
-    p.add_argument("--sigma", type=float, help="innovation std")
+    p.add_argument("--model", dest="source", required=True, choices=GENERATOR_MODELS)
+    _key_flags(p, "n", "seed", "h", "d", "phi", "theta", "sigma", required=("n",))
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_source)
 
     p = sub.add_parser("corrupt", help="add a std-matched corruption")
     p.add_argument("--kind", required=True, choices=[c for c in CORRUPTIONS.names if c != "none"])
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--cycles", type=int)
+    _key_flags(p, "seed", "cycles")
+    p.add_argument("--phi", dest="corruption_phi", type=float, help="AR(1) coefficient (no config key)")
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("filter", help="apply a preprocessing filter")
     p.add_argument("--kind", required=True, choices=[c for c in FILTERS.names if c != "none"])
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
-    p.add_argument("--degree", type=int)
+    _key_flags(p, "degree")
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("estimate", help="estimate the Hurst parameter")
@@ -196,13 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("ingest", help="derive a series from a packet trace")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--mode", required=True, choices=TRACE_MODES)
-    p.add_argument("--bin-width", type=float)
-    p.add_argument("--skip", type=int)
-    p.add_argument("--take", type=int)
+    p.add_argument("--trace", dest="path", required=True)
+    _key_flags(p, "mode", "bin-width", "skip", "take", required=("mode",))
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_ingest)
+    p.set_defaults(func=_cmd_source, source="trace")
 
     p = sub.add_parser("acf", help="export 'lag rho |rho|' columns")
     p.add_argument("--in", dest="infile", default="-")
@@ -212,10 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="run an experiment matrix")
     p.add_argument("--config", help="key=value config file")
-    for key, spec in CONFIG_KEYS.items():
-        flags = [f"--{key}"] + (["--out"] if key == "output" else [])
-        action = "append" if spec.is_list else "store"
-        p.add_argument(*flags, dest=key, action=action, choices=spec.choices, help=f"config key '{key}'")
+    _key_flags(p, *CONFIG_KEYS)
     p.set_defaults(func=_cmd_matrix)
 
     return parser

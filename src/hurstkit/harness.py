@@ -24,7 +24,7 @@ from .errors import ConfigError, HurstkitError, SeriesTooShort
 from .estimators import METHOD_ORDER, EstimatorReport, estimate
 from .generators import Ar1Spec, FarimaSpec, FgnSpec, gen_ar1, gen_farima, gen_fgn, gen_iid_gaussian
 from .series import TimeSeries, acf, read_series
-from .traces import bin_bytes, interarrival_series, parse_packet_trace
+from .traces import bin_bytes, check_bin_width, interarrival_series, parse_packet_trace
 from .transforms import CorruptionKind, FilterKind, apply_filter, corrupt
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "export_acf",
     "parse_config",
     "build_experiment_spec",
+    "build_source",
     "CORRUPTION_SEED_OFFSET",
 ]
 
@@ -96,7 +97,16 @@ FILTERS = Vocabulary(
 )
 
 GENERATOR_MODELS = ("fgn", "farima", "ar1", "iid")
-SOURCES = GENERATOR_MODELS + ("file", "trace")
+# The config keys each source reads and the dataclass field each one sets.
+SOURCE_KEYS = {
+    "fgn": {"n": "n", "h": "hurst"},
+    "farima": {"n": "n", "d": "d", "phi": "phi", "theta": "theta", "sigma": "sigma"},
+    "ar1": {"n": "n", "phi": "phi", "sigma": "sigma"},
+    "iid": {"n": "n"},
+    "file": {"path": "path", "skip": "skip", "take": "take"},
+    "trace": {"path": "path", "mode": "mode", "bin-width": "bin_width", "skip": "skip", "take": "take"},
+}
+SOURCES = tuple(SOURCE_KEYS)
 TRACE_MODES = ("bins", "interarrival")
 FORMATS = ("csv", "aligned")
 
@@ -202,8 +212,12 @@ class TraceSource:
     def __post_init__(self) -> None:
         if self.mode not in TRACE_MODES:
             raise ConfigError(f"trace mode must be 'bins' or 'interarrival', got {self.mode!r}")
-        if self.mode == "bins" and self.bin_width is None:
-            raise ConfigError("trace mode 'bins' requires a bin width ('bin-width')")
+        if self.mode == "bins":
+            if self.bin_width is None:
+                raise ConfigError("trace mode 'bins' requires a bin width ('bin-width')")
+            check_bin_width(self.bin_width)
+        elif self.bin_width is not None:
+            raise ConfigError("trace mode 'interarrival' reads no bin width ('bin-width')")
         _check_window(self.skip, self.take)
 
     def make(self, seed: int) -> TimeSeries:
@@ -489,18 +503,21 @@ def parse_config(text: str) -> dict[str, list[str]]:
     return mapping
 
 
-def _cast(key: str, raws: list[str]) -> Any:
-    """One key's values read by its ConfigKey: a list, or the first value."""
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"unknown key {key!r}")
-    spec = CONFIG_KEYS[key]
-    values = []
-    for raw in raws:
-        try:
-            values.append(spec.cast(raw))
-        except ValueError:
-            raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
-    return values if spec.is_list else values[0]
+def cast_config(mapping: dict[str, list[str]]) -> dict[str, Any]:
+    """Each key's values read by its ConfigKey: a list, or the first value."""
+    config = {}
+    for key, raws in mapping.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        spec = CONFIG_KEYS[key]
+        values = []
+        for raw in raws:
+            try:
+                values.append(spec.cast(raw))
+            except ValueError:
+                raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
+        config[key] = values if spec.is_list else values[0]
+    return config
 
 
 def _pick(config: dict[str, Any], **fields: str) -> dict[str, Any]:
@@ -508,47 +525,48 @@ def _pick(config: dict[str, Any], **fields: str) -> dict[str, Any]:
     return {field: config[key] for field, key in fields.items() if config.get(key) is not None}
 
 
+# Parameter keys each transform reads; a config's 'phi' is its source's, `corrupt --phi` the corruption's.
+TRANSFORM_KEYS = {"sine": ("cycles",), "poly_detrend": ("degree",)}
+_PARAMETER_KEYS = {key for keys in (*SOURCE_KEYS.values(), *TRANSFORM_KEYS.values()) for key in keys}
+
+
+def refuse_unread(config: dict[str, Any], source: str | None = None, transforms=(), also=()) -> None:
+    """Refuse a parameter key that neither the source, a listed transform nor ``also`` reads."""
+    readers = {f"source {source!r}": tuple(SOURCE_KEYS[source])} if source else {}
+    readers |= {f"transform {name!r}": TRANSFORM_KEYS.get(name, ()) for name in transforms if name}
+    unread = [key for key in config if key in _PARAMETER_KEYS and key not in set(also).union(*readers.values())]
+    if unread:
+        raise ConfigError(f"key {unread[0]!r} is not read by {' or '.join(readers)}")
+
+
+def build_source(config: dict[str, Any], transforms=()) -> GeneratorSource | FileSource | TraceSource:
+    """The source a cast config names, given its SOURCE_KEYS; the transforms read the rest."""
+    kind = config.get("source")
+    if kind not in SOURCE_KEYS:
+        raise ConfigError(f"unknown source {kind!r}" if kind else f"config needs a 'source' ({'|'.join(SOURCES)})")
+    refuse_unread(config, kind, transforms)
+    fields = {field: config[key] for key, field in SOURCE_KEYS[kind].items() if key in config}
+    needed = "n" if kind in GENERATOR_MODELS else "path"
+    if needed not in config:
+        raise ConfigError(f"{kind} sources need {needed!r}")
+    if kind in GENERATOR_MODELS:
+        return GeneratorSource(model=kind, **fields)
+    return (FileSource if kind == "file" else TraceSource)(**fields)
+
+
 def build_experiment_spec(mapping: dict[str, list[str]]) -> ExperimentSpec:
     """Turn a parsed config mapping into a validated ExperimentSpec."""
-    config = {key: _cast(key, raws) for key, raws in mapping.items()}
-    kind = config.get("source")
-    if kind is None:
-        raise ConfigError(f"config needs a 'source' ({'|'.join(SOURCES)})")
-
-    window = _pick(config, skip="skip", take="take")
-    source: GeneratorSource | FileSource | TraceSource
-    if kind in GENERATOR_MODELS:
-        if "n" not in config:
-            raise ConfigError("generator sources need 'n'")
-        fields = _pick(config, n="n", hurst="h", d="d", phi="phi", theta="theta", sigma="sigma")
-        source = GeneratorSource(model=kind, **fields)
-    elif kind in ("file", "trace"):
-        if "path" not in config:
-            raise ConfigError(f"{kind} sources need 'path'")
-        if kind == "file":
-            source = FileSource(path=config["path"], **window)
-        else:
-            fields = _pick(config, mode="mode", bin_width="bin-width")
-            source = TraceSource(path=config["path"], **fields, **window)
-    else:
-        raise ConfigError(f"unknown source {kind!r}")
-
+    config = cast_config(mapping)
+    corruptions = [name for names in config.get("corruption", []) for name in names]
+    filters = [name for names in config.get("filter", []) for name in names]
     cycles = _pick(config, cycles="cycles")
-    corruptions = tuple(
-        None if name is None else CorruptionKind(name=name, **cycles)
-        for names in config.get("corruption", []) for name in names
-    )
     degree = _pick(config, degree="degree")
-    filters = tuple(
-        None if name is None else FilterKind(name=name, **degree)
-        for names in config.get("filter", []) for name in names
-    )
     methods = [name for names in config.get("estimator", [METHOD_ORDER]) for name in names]
 
     return ExperimentSpec(
-        source=source,
-        corruptions=corruptions,
-        filters=filters,
+        source=build_source(config, corruptions + filters),
+        corruptions=tuple(None if name is None else CorruptionKind(name=name, **cycles) for name in corruptions),
+        filters=tuple(None if name is None else FilterKind(name=name, **degree) for name in filters),
         estimators=tuple(dict.fromkeys(methods)),
         **_pick(config, runs="runs", base_seed="seed", workers="workers", output="output", fmt="format"),
     )

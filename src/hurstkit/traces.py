@@ -218,6 +218,11 @@ def serialize_packet_trace(trace: PacketTrace, stream: IO[str]) -> None:
         stream.write(f"{ts!r} {size}\n")
 
 
+def check_bin_width(bin_width: float) -> None:
+    if not (isinstance(bin_width, (int, float)) and math.isfinite(bin_width) and bin_width > 0):
+        raise BadBinWidth(f"bin width must be positive and finite, got {bin_width!r}")
+
+
 def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
     """Bytes per fixed-width bin, bin i covering [t0 + i*w, t0 + (i+1)*w).
 
@@ -228,8 +233,7 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
     """
     if len(trace) == 0:
         raise EmptyTrace("cannot bin an empty trace")
-    if not (isinstance(bin_width, (int, float)) and math.isfinite(bin_width) and bin_width > 0):
-        raise BadBinWidth(f"bin width must be positive and finite, got {bin_width!r}")
+    check_bin_width(bin_width)
     ts = trace._timestamps
     t0 = ts[0]
     span = ts[-1] - t0

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import hurstkit as hk
+import hurstkit.cli as cli
 from hurstkit.cli import build_parser, main
-from hurstkit.harness import CONFIG_KEYS, CORRUPTIONS, FILTERS, METHODS
+from hurstkit.harness import CONFIG_KEYS, CORRUPTIONS, FILTERS, METHODS, build_experiment_spec, parse_config
 
 
 def run_cli(*args):
@@ -233,9 +234,13 @@ def _write(path, data: bytes):
         lambda d: ["estimate", "--method", "rs", "--in", _write(d / "s.txt", b"1\n\xff\n")],
         lambda d: ["estimate", "--method", "rs", "--bandwidth", "64",
                    "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(200)))],
+        lambda d: ["estimate", "--method", "all", "--dump-fit", str(d / "fit.txt"),
+                   "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(2000)))],
+        lambda d: ["estimate", "--method", "lwhittle", "--dump-fit", str(d / "fit.txt"),
+                   "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(2000)))],
     ],
     ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii",
-         "bandwidth-without-lwhittle"],
+         "bandwidth-without-lwhittle", "dump-fit-all", "dump-fit-lwhittle"],
 )
 def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
     assert run_cli(*argv(tmp_path)) == 2
@@ -245,9 +250,97 @@ def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
-def test_matrix_flag_value_reports_config_parser_message(capsys):
-    assert run_cli("matrix", "--source", "iid", "--n", "x") == 2
-    assert capsys.readouterr().err == "hurstkit: error: key 'n': cannot parse 'x'\n"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--source", "iid", "--n", "x"],
+        ["generate", "--model", "iid", "--n", "x"],
+        ["corrupt", "--kind", "sine", "--cycles", "x"],
+        ["filter", "--kind", "poly", "--degree", "x"],
+        ["ingest", "--trace", "missing.txt", "--mode", "bins", "--bin-width", "x"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_matrix_flag_value_reports_config_parser_message(capsys, argv):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"hurstkit: error: key {argv[-2][2:]!r}: cannot parse 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--model", "fgn", "--n", "100", "--d", "0.4"], "key 'd' is not read by source 'fgn'"),
+        (["generate", "--model", "fgn", "--n", "100", "--sigma", "5"], "key 'sigma' is not read by source 'fgn'"),
+        (["generate", "--model", "ar1", "--n", "100", "--theta", "0.1"], "key 'theta' is not read by source 'ar1'"),
+        (["corrupt", "--kind", "trend", "--phi", "0.5"], "key 'phi' is not read by transform 'linear_trend'"),
+        (["corrupt", "--kind", "trend", "--cycles", "3"], "key 'cycles' is not read by transform 'linear_trend'"),
+        (["corrupt", "--kind", "ar1", "--cycles", "3"], "key 'cycles' is not read by transform 'ar1'"),
+        (["filter", "--kind", "log", "--degree", "4"], "key 'degree' is not read by transform 'log'"),
+        (["matrix", "--source", "file", "--path", "{missing}", "--h", "0.9"], "key 'h' is not read by source 'file'"),
+        (["ingest", "--mode", "interarrival", "--bin-width", "0.1"],
+         "trace mode 'interarrival' reads no bin width ('bin-width')"),
+        (["ingest", "--mode", "bins", "--bin-width", "0"], "bin width must be positive and finite, got 0.0"),
+        (["ingest", "--mode", "bins", "--bin-width", "nan"], "bin width must be positive and finite, got nan"),
+    ],
+    ids=["fgn-d", "fgn-sigma", "ar1-theta", "trend-phi", "trend-cycles", "ar1-cycles", "log-degree", "file-h",
+         "interarrival-width", "width-0", "width-nan"],
+)
+def test_unread_parameters_are_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.txt")
+    io_flags = {"corrupt": ["--in", missing], "filter": ["--in", missing], "ingest": ["--trace", missing]}
+    assert run_cli(*[a.format(missing=missing) for a in argv], *io_flags.get(argv[0], [])) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"hurstkit: error: {message}\n")
+
+
+def _write_inputs(d):
+    _write(d / "s.txt", b"".join(b"%d\n" % (1 + i % 7) for i in range(256)))
+    _write(d / "t.txt", b"".join(b"%d.5 %d\n" % (i, 40 + i % 3) for i in range(64)))
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["generate", "--model", "iid", "--n", "100"], "source = iid\nn = 100"),
+        (["generate", "--model", "fgn", "--n", "100", "--h", "0.8"], "source = fgn\nn = 100\nh = 0.8"),
+        (
+            ["generate", "--model", "farima", "--n", "100", "--d", "0.3", "--phi", "0.5", "--phi", "0.2",
+             "--theta", "0.1", "--theta", "-0.2", "--sigma", "2"],
+            "source = farima\nn = 100\nd = 0.3\nphi = 0.5\nphi = 0.2\ntheta = 0.1\ntheta = -0.2\nsigma = 2",
+        ),
+        (["generate", "--model", "ar1", "--n", "100", "--phi", "0.5", "--sigma", "0.5"],
+         "source = ar1\nn = 100\nphi = 0.5\nsigma = 0.5"),
+        (["ingest", "--trace", "{d}/t.txt", "--mode", "bins", "--bin-width", "2", "--skip", "3", "--take", "20"],
+         "source = trace\npath = {d}/t.txt\nmode = bins\nbin-width = 2\nskip = 3\ntake = 20"),
+        (["ingest", "--trace", "{d}/t.txt", "--mode", "interarrival", "--skip", "1", "--take", "5"],
+         "source = trace\npath = {d}/t.txt\nmode = interarrival\nskip = 1\ntake = 5"),
+        (["corrupt", "--kind", "sine", "--cycles", "3", "--in", "{d}/s.txt"],
+         "source = iid\nn = 100\ncorruption = sine\ncycles = 3"),
+        (["corrupt", "--kind", "ar1", "--seed", "4", "--in", "{d}/s.txt"], "source = iid\nn = 100\ncorruption = ar1"),
+        (["filter", "--kind", "poly", "--degree", "4", "--in", "{d}/s.txt"],
+         "source = iid\nn = 100\nfilter = poly\ndegree = 4"),
+        (["filter", "--kind", "linear", "--in", "{d}/s.txt"], "source = iid\nn = 100\nfilter = linear"),
+    ],
+    ids=["iid", "fgn", "farima", "ar1", "ingest-bins", "ingest-interarrival", "corrupt-sine", "corrupt-ar1",
+         "filter-poly", "filter-linear"],
+)
+def test_flag_form_and_config_form_build_equal_objects(tmp_path, capsys, monkeypatch, argv, config):
+    """What each subcommand builds from its flags equals what a config builds from the same keys."""
+    _write_inputs(tmp_path)
+    built = []
+    for name, arg in (("build_source", None), ("corrupt", 1), ("apply_filter", 1)):
+        real = getattr(cli, name)
+
+        def record(*args, real=real, arg=arg, **kwargs):
+            result = real(*args, **kwargs)
+            built.append(result if arg is None else args[arg])
+            return result
+
+        monkeypatch.setattr(cli, name, record)
+    assert run_cli(*[a.format(d=tmp_path) for a in argv]) == 0
+    spec = build_experiment_spec(parse_config(config.format(d=tmp_path)))
+    want = {"corrupt": spec.corruptions, "filter": spec.filters}.get(argv[0], (spec.source,))
+    assert tuple(built) == want
 
 
 def _subparser(name: str) -> argparse.ArgumentParser:

@@ -281,6 +281,55 @@ def test_generator_parameters_rejected_when_spec_is_built(body, error, match):
         build_experiment_spec(parse_config(body))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("source = fgn\nn = 4096\nd = 0.4\n", "key 'd' is not read by source 'fgn'"),
+        ("source = fgn\nn = 4096\nsigma = 5\n", "key 'sigma' is not read by source 'fgn'"),
+        ("source = iid\nn = 4096\nphi = 0.5\n", "key 'phi' is not read by source 'iid'"),
+        ("source = file\npath = x\nh = 0.9\n", "key 'h' is not read by source 'file'"),
+        ("source = file\npath = x\nn = 100\n", "key 'n' is not read by source 'file'"),
+        ("source = file\npath = x\nmode = bins\n", "key 'mode' is not read by source 'file'"),
+        ("source = fgn\nn = 4096\ncycles = 3\n", "key 'cycles' is not read by source 'fgn'"),
+        (
+            "source = fgn\nn = 4096\ncorruption = none\ncorruption = ar1\ncorruption = trend\ncycles = 3\n",
+            "key 'cycles' is not read by source 'fgn' or transform 'ar1' or transform 'linear_trend'",
+        ),
+        (
+            "source = fgn\nn = 4096\nfilter = log\ndegree = 4\n",
+            "key 'degree' is not read by source 'fgn' or transform 'log'",
+        ),
+        (
+            "source = fgn\nn = 4096\ncorruption = sine\ndegree = 4\n",
+            "key 'degree' is not read by source 'fgn' or transform 'sine'",
+        ),
+    ],
+    ids=["fgn-d", "fgn-sigma", "iid-phi", "file-h", "file-n", "file-mode", "cycles-alone", "cycles-without-sine",
+         "degree-with-log", "degree-with-sine"],
+)
+def test_unread_parameter_keys_are_refused(body, message):
+    with pytest.raises(hk.ConfigError) as exc:
+        build_experiment_spec(parse_config(body))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "mode, width, error, message",
+    [
+        ("bins", 0.0, hk.BadBinWidth, "bin width must be positive and finite, got 0.0"),
+        ("bins", -1.0, hk.BadBinWidth, "bin width must be positive and finite, got -1.0"),
+        ("bins", float("nan"), hk.BadBinWidth, "bin width must be positive and finite, got nan"),
+        ("bins", float("inf"), hk.BadBinWidth, "bin width must be positive and finite, got inf"),
+        ("interarrival", 0.1, hk.ConfigError, "trace mode 'interarrival' reads no bin width ('bin-width')"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "interarrival"],
+)
+def test_trace_source_checks_its_bin_width_when_built(tmp_path, mode, width, error, message):
+    with pytest.raises(error) as exc:
+        hk.TraceSource(path=str(tmp_path / "missing.txt"), mode=mode, bin_width=width)
+    assert str(exc.value) == message
+
+
 def test_generator_source_make_and_describe_use_one_spec():
     source = GeneratorSource(model="ar1", n=64)
     assert source.describe() == "64 points AR(1) phi=0.9"

@@ -150,6 +150,19 @@ def test_series_text_round_trip():
     assert back.values.tolist() == values
 
 
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.79e308, -1.79e308])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS, min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_series_text_round_trip_is_bit_exact(values):
+    buf = io.StringIO()
+    write_series(TimeSeries(values), buf)
+    back = read_series(io.StringIO(buf.getvalue()))
+    want = np.array(values, dtype=np.float64)
+    assert np.array_equal(back.values.view(np.int64), want.view(np.int64))
+
+
 def test_read_series_reports_bad_line():
     with pytest.raises(hk.MalformedLine, match="line 2"):
         read_series(io.StringIO("1.5\nnot-a-number\n"))
