@@ -62,7 +62,7 @@ def _write_series_arg(series, path: str) -> int:
 def _flags(args: argparse.Namespace) -> dict[str, list[str]]:
     """The config keys given as flags, mapped as parse_config maps a file's lines."""
     given = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    return {key: v if isinstance(v, list) else [v] for key, v in given.items() if v is not None}
+    return {key: values for key, values in given.items() if values is not None}
 
 
 def _cmd_source(args: argparse.Namespace) -> int:
@@ -144,13 +144,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _key_flags(parser: argparse.ArgumentParser, *keys: str, required: tuple[str, ...] = ()) -> None:
-    """One flag per config key, named after it; cast_config parses what it is given."""
+    """One flag per config key, named after it; cast_config parses what it is given, once for a scalar."""
     for key in keys:
         spec = CONFIG_KEYS[key]
         flags = [f"--{key}"] + (["--out"] if key == "output" else [])
-        action = "append" if spec.is_list else "store"
         parser.add_argument(
-            *flags, dest=key, action=action, choices=spec.choices, required=key in required, help=f"config key {key!r}"
+            *flags, dest=key, action="append", choices=spec.choices, required=key in required,
+            help=f"config key {key!r}",
         )
 
 
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesise a series")
-    p.add_argument("--model", dest="source", required=True, choices=GENERATOR_MODELS)
+    p.add_argument("--model", dest="source", action="append", required=True, choices=GENERATOR_MODELS)
     _key_flags(p, "n", "seed", "h", "d", "phi", "theta", "sigma", required=("n",))
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_source)
@@ -192,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("ingest", help="derive a series from a packet trace")
-    p.add_argument("--trace", dest="path", required=True)
+    p.add_argument("--trace", dest="path", action="append", required=True)
     _key_flags(p, "mode", "bin-width", "skip", "take", required=("mode",))
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_source, source="trace")
+    p.set_defaults(func=_cmd_source, source=["trace"])
 
     p = sub.add_parser("acf", help="export 'lag rho |rho|' columns")
     p.add_argument("--in", dest="infile", default="-")

@@ -139,6 +139,8 @@ class GeneratorSource:
                 d=self.d, n=self.n, seed=seed, ar=self.phi, ma=self.theta, sigma=self.sigma
             )
         if self.model == "ar1":
+            if len(self.phi) > 1:
+                raise ConfigError(f"an ar1 source takes one phi, got {len(self.phi)}")
             phi = self.phi[0] if self.phi else 0.9
             return gen_ar1, Ar1Spec(phi=phi, n=self.n, seed=seed, sigma=self.sigma)
         if self.n < 1:
@@ -360,76 +362,45 @@ def run_matrix(spec: ExperimentSpec) -> ResultMatrix:
     )
 
 
-def _format_h(value: float) -> str:
-    return f"{value:.3g}"
-
-
-def _format_ci(report: EstimatorReport) -> str:
-    if report.ci95 is None:
-        return ""
-    return f"{(report.ci95[1] - report.ci95[0]) / 2.0:.2g}"
+def _cell_texts(matrix: ResultMatrix, idx: int) -> list[tuple[str, str]]:
+    """(H text, CI half-width text) of each method's cell in row ``idx``; ("ERR:<code>", "") if it failed."""
+    texts = []
+    for method in matrix.methods:
+        cell = matrix.cells[(idx, method)]
+        if isinstance(cell, CellError):
+            texts.append((f"ERR:{cell.code}", ""))
+        else:
+            ci = "" if cell.ci95 is None else f"{(cell.ci95[1] - cell.ci95[0]) / 2.0:.2g}"
+            texts.append((f"{cell.hurst:.3g}", ci))
+    return texts
 
 
 def format_matrix(matrix: ResultMatrix, fmt: str = "csv") -> str:
     """Render a matrix as CSV or a human-readable aligned table (deterministic)."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}; use 'csv' or 'aligned'")
     if fmt == "csv":
-        return _format_csv(matrix)
-    if fmt == "aligned":
-        return _format_aligned(matrix)
-    raise ConfigError(f"unknown output format {fmt!r}; use 'csv' or 'aligned'")
+        header = ["run", "seed", "kind", "transform"] + [col for m in matrix.methods for col in (m, f"{m}_ci")]
+        lines = [",".join(header)]
+        for idx, row in enumerate(matrix.rows):
+            texts = [text for pair in _cell_texts(matrix, idx) for text in pair]
+            lines.append(",".join([str(row.run), str(row.seed), row.kind, row.label] + texts))
+        return "\n".join(lines) + "\n"
 
-
-def _format_csv(matrix: ResultMatrix) -> str:
-    header = ["run", "seed", "kind", "transform"]
-    for method in matrix.methods:
-        header.append(method)
-        header.append(f"{method}_ci")
-    lines = [",".join(header)]
-    for idx, row in enumerate(matrix.rows):
-        cols = [str(row.run), str(row.seed), row.kind, row.label]
-        for method in matrix.methods:
-            cell = matrix.cells[(idx, method)]
-            if isinstance(cell, CellError):
-                cols.extend([f"ERR:{cell.code}", ""])
-            else:
-                cols.extend([_format_h(cell.hurst), _format_ci(cell)])
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
-
-
-def _format_aligned(matrix: ResultMatrix) -> str:
-    def cell_text(cell: EstimatorReport | CellError) -> str:
-        if isinstance(cell, CellError):
-            return f"ERR:{cell.code}"
-        text = _format_h(cell.hurst)
-        ci = _format_ci(cell)
-        return f"{text} +- {ci}" if ci else text
-
-    col_labels = [METHODS.labels[m] for m in matrix.methods]
-    table: list[list[str]] = []
-    blocks: list[tuple[int, str]] = []  # (table row index, heading)
-    last_run = None
-    for idx, row in enumerate(matrix.rows):
-        if row.run != last_run:
-            blocks.append((len(table), f"{matrix.source_desc} --- run {row.run} (seed {row.seed})"))
-            last_run = row.run
-        cells = [cell_text(matrix.cells[(idx, m)]) for m in matrix.methods]
-        table.append([row.label] + cells)
-
-    widths = [len("Transform")] + [len(label) for label in col_labels]
-    for line in table:
-        for i, text in enumerate(line):
-            widths[i] = max(widths[i], len(text))
+    header = ["Transform"] + [METHODS.labels[m] for m in matrix.methods]
+    table = [
+        [row.label] + [f"{h} +- {ci}" if ci else h for h, ci in _cell_texts(matrix, idx)]
+        for idx, row in enumerate(matrix.rows)
+    ]
+    widths = [max(map(len, column)) for column in zip(header, *table)]
 
     def render(parts: list[str]) -> str:
-        return "  ".join(text.ljust(widths[i]) for i, text in enumerate(parts)).rstrip()
+        return "  ".join(text.ljust(width) for text, width in zip(parts, widths)).rstrip()
 
     out: list[str] = []
-    heading = dict(blocks)
-    for i, line in enumerate(table):
-        if i in heading:
-            out.append(f"# {heading[i]}")
-            out.append(render(["Transform"] + col_labels))
+    for idx, (row, line) in enumerate(zip(matrix.rows, table)):
+        if idx == 0 or row.run != matrix.rows[idx - 1].run:
+            out += [f"# {matrix.source_desc} --- run {row.run} (seed {row.seed})", render(header)]
         out.append(render(line))
     return "\n".join(out) + "\n"
 
@@ -504,12 +475,14 @@ def parse_config(text: str) -> dict[str, list[str]]:
 
 
 def cast_config(mapping: dict[str, list[str]]) -> dict[str, Any]:
-    """Each key's values read by its ConfigKey: a list, or the first value."""
+    """Each key's values read by its ConfigKey: a list, or the one value a scalar key may have."""
     config = {}
     for key, raws in mapping.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}")
         spec = CONFIG_KEYS[key]
+        if len(raws) > 1 and not spec.is_list:
+            raise ConfigError(f"key {key!r} given more than once")
         values = []
         for raw in raws:
             try:

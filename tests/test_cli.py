@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hurstkit as hk
 import hurstkit.cli as cli
@@ -272,6 +274,8 @@ def test_matrix_flag_value_reports_config_parser_message(capsys, argv):
         (["generate", "--model", "fgn", "--n", "100", "--d", "0.4"], "key 'd' is not read by source 'fgn'"),
         (["generate", "--model", "fgn", "--n", "100", "--sigma", "5"], "key 'sigma' is not read by source 'fgn'"),
         (["generate", "--model", "ar1", "--n", "100", "--theta", "0.1"], "key 'theta' is not read by source 'ar1'"),
+        (["generate", "--model", "ar1", "--n", "50", "--phi", "0.5", "--phi", "0.3"],
+         "an ar1 source takes one phi, got 2"),
         (["corrupt", "--kind", "trend", "--phi", "0.5"], "key 'phi' is not read by transform 'linear_trend'"),
         (["corrupt", "--kind", "trend", "--cycles", "3"], "key 'cycles' is not read by transform 'linear_trend'"),
         (["corrupt", "--kind", "ar1", "--cycles", "3"], "key 'cycles' is not read by transform 'ar1'"),
@@ -282,8 +286,8 @@ def test_matrix_flag_value_reports_config_parser_message(capsys, argv):
         (["ingest", "--mode", "bins", "--bin-width", "0"], "bin width must be positive and finite, got 0.0"),
         (["ingest", "--mode", "bins", "--bin-width", "nan"], "bin width must be positive and finite, got nan"),
     ],
-    ids=["fgn-d", "fgn-sigma", "ar1-theta", "trend-phi", "trend-cycles", "ar1-cycles", "log-degree", "file-h",
-         "interarrival-width", "width-0", "width-nan"],
+    ids=["fgn-d", "fgn-sigma", "ar1-theta", "ar1-two-phi", "trend-phi", "trend-cycles", "ar1-cycles", "log-degree",
+         "file-h", "interarrival-width", "width-0", "width-nan"],
 )
 def test_unread_parameters_are_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.txt")
@@ -291,6 +295,31 @@ def test_unread_parameters_are_refused_before_the_input_is_read(tmp_path, capsys
     assert run_cli(*[a.format(missing=missing) for a in argv], *io_flags.get(argv[0], [])) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"hurstkit: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["matrix", "--source", "iid", "--n", "4096", "--n", "2048"], "n"),
+        (["matrix", "--source", "iid", "--n", "2048", "--format", "aligned", "--format", "csv"], "format"),
+        (["matrix", "--source", "iid", "--n", "2048", "--out", "a.csv", "--output", "b.csv"], "output"),
+        (["generate", "--model", "iid", "--model", "fgn", "--n", "100"], "source"),
+        (["generate", "--model", "fgn", "--n", "100", "--h", "0.6", "--h", "0.8"], "h"),
+        (["ingest", "--trace", "a.txt", "--trace", "b.txt", "--mode", "interarrival"], "path"),
+        (["ingest", "--trace", "a.txt", "--mode", "bins", "--mode", "interarrival"], "mode"),
+        (["corrupt", "--kind", "sine", "--cycles", "2", "--cycles", "3", "--in", "s.txt"], "cycles"),
+        (["filter", "--kind", "poly", "--degree", "2", "--degree", "3", "--in", "s.txt"], "degree"),
+    ],
+    ids=["matrix-n", "matrix-format", "matrix-out-output", "generate-model", "generate-h", "ingest-trace",
+         "ingest-mode", "corrupt-cycles", "filter-degree"],
+)
+def test_a_scalar_key_flag_given_twice_is_refused(tmp_path, capsys, monkeypatch, argv, key):
+    """As a config file that repeats a scalar key is refused, so is a repeated flag."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"hurstkit: error: key {key!r} given more than once\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _write_inputs(d):
@@ -390,3 +419,42 @@ def test_matrix_degree_and_cycles_flags_match_config(tmp_path, capsys):
     assert capsys.readouterr().out == from_config
     assert run_cli("matrix", "--config", str(cfg), "--cycles", "10", "--degree", "10") == 0
     assert capsys.readouterr().out != from_config
+
+
+# Independent of the harness's tables: (code, row label) per config vocabulary.
+_CORRUPTION_LABELS = {"ar1": "AR(1)", "sine": "Sin", "trend": "Trend"}
+_FILTER_LABELS = {"log": "Log", "linear": "Trend", "poly": "Poly"}
+_METHOD_NAMES = {"rs": "rs", "aggvar": "aggvar", "pgram": "periodogram", "wavelet": "wavelet",
+                 "lwhittle": "local_whittle"}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    corruptions=st.lists(st.sampled_from(["none", *_CORRUPTION_LABELS]), unique=True),
+    filters=st.lists(st.sampled_from(["none", *_FILTER_LABELS]), unique=True),
+    estimators=st.lists(st.sampled_from(list(_METHOD_NAMES)), unique=True),
+    runs=st.integers(1, 2),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_config_to_spec_to_csv(tmp_path_factory, corruptions, filters, estimators, runs, seed):
+    """A matrix config's CSV has the rows and columns the config names, from flags and from a file alike."""
+    d = tmp_path_factory.mktemp("matrix")
+    keys = [("source", "iid"), ("n", "2048"), ("runs", str(runs)), ("seed", str(seed))]
+    keys += [("corruption", c) for c in corruptions] + [("filter", f) for f in filters]
+    keys += [("estimator", e) for e in estimators]
+    (d / "exp.cfg").write_text("".join(f"{k} = {v}\n" for k, v in keys) + f"output = {d}/file.csv\n")
+    assert run_cli("matrix", "--config", str(d / "exp.cfg")) == 0
+    assert run_cli("matrix", *[a for k, v in keys for a in (f"--{k}", v)], "--out", str(d / "flags.csv")) == 0
+    csv = (d / "file.csv").read_text()
+    assert (d / "flags.csv").read_text() == csv
+
+    methods = [_METHOD_NAMES[e] for e in estimators] or list(hk.METHOD_ORDER)
+    header, *rows = csv.splitlines()
+    assert header == ",".join(["run", "seed", "kind", "transform"] + [f"{m},{m}_ci" for m in methods])
+    per_run = [("corrupt", _CORRUPTION_LABELS[c]) for c in corruptions if c != "none"]
+    per_run += [("filter", _FILTER_LABELS[f]) for f in filters if f != "none"]
+    if not per_run or "none" in corruptions + filters:
+        per_run.insert(0, ("none", "None"))
+    want = [(str(run), str(seed + run), kind, label) for run in range(runs) for kind, label in per_run]
+    assert [tuple(row.split(",")[:4]) for row in rows] == want
+    assert all(row.count(",") == header.count(",") for row in rows)

@@ -231,6 +231,24 @@ def test_wavelet_trend_invariance(medium_iid):
     assert abs(h1 - h0) < 1e-6
 
 
+@pytest.fixture(scope="module")
+def wavelet_base():
+    series = hk.gen_fgn(hk.FgnSpec(hurst=0.7, n=2048, seed=17))
+    return series, {order: est_wavelet(series, order=order).hurst for order in (2, 3, 4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(2, 4), data=st.data())
+def test_wavelet_estimate_ignores_polynomial_trends(wavelet_base, order, data):
+    # order p has p vanishing moments: a trend of degree < p cancels on the wrap-free
+    # prefix; here t in [0, 1) and |coefficients| <= 1e3 against a unit-variance series
+    series, want = wavelet_base
+    coefficients = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=order))
+    t = np.arange(len(series)) / len(series)
+    trended = TimeSeries(series.values + np.polynomial.polynomial.polyval(t, coefficients))
+    assert abs(est_wavelet(trended, order=order).hurst - want[order]) <= 1e-10
+
+
 def test_wavelet_ci_brackets_h(fgn07):
     report = est_wavelet(fgn07[0])
     lo, hi = report.ci95

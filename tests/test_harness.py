@@ -20,7 +20,7 @@ from hurstkit import (
     parse_config,
     run_matrix,
 )
-from hurstkit.harness import CORRUPTION_SEED_OFFSET, _materialize_rows
+from hurstkit.harness import CORRUPTION_SEED_OFFSET, _materialize_rows, cast_config
 
 
 def small_spec(**overrides):
@@ -108,21 +108,44 @@ def test_estimator_error_becomes_cell_marker():
 
 
 def test_format_matrix_cell_formatting():
-    row = MatrixRow(run=0, seed=5, kind="none", label="None")
-    report = EstimatorReport(method="wavelet", hurst=0.707, fit=None, ci95=(0.694, 0.72))
-    matrix = ResultMatrix(
-        rows=(row,),
-        methods=("wavelet",),
-        cells={(0, "wavelet"): report},
-        source_desc="unit",
+    # two runs; an R/S column as wide as its widest H text, a Wavelet column as
+    # wide as its ERR: cell; CIs where present; a heading and header per run
+    def report(method, hurst, ci95=None):
+        return EstimatorReport(method=method, hurst=hurst, fit=None, ci95=ci95)
+
+    rows = tuple(
+        MatrixRow(run=run, seed=5 + run, kind=kind, label=label)
+        for run in (0, 1)
+        for kind, label in (("none", "None"), ("filter", "Log"))
     )
-    csv = format_matrix(matrix, "csv")
-    lines = csv.splitlines()
-    assert lines[0] == "run,seed,kind,transform,wavelet,wavelet_ci"
-    assert lines[1] == "0,5,none,None,0.707,0.013"
-    aligned = format_matrix(matrix, "aligned")
-    assert "0.707 +- 0.013" in aligned
-    assert aligned.startswith("# unit --- run 0")
+    cells = {
+        (0, "rs"): report("rs", 0.51234),
+        (0, "wavelet"): report("wavelet", 0.707, (0.694, 0.72)),
+        (1, "rs"): report("rs", 0.5),
+        (1, "wavelet"): CellError(code="NonPositiveData", message="zeros"),
+        (2, "rs"): report("rs", 1.0625),
+        (2, "wavelet"): report("wavelet", 0.65, (0.6, 0.7)),
+        (3, "rs"): report("rs", 0.8),
+        (3, "wavelet"): report("wavelet", 0.9),
+    }
+    matrix = ResultMatrix(rows=rows, methods=("rs", "wavelet"), cells=cells, source_desc="unit")
+    assert format_matrix(matrix, "csv") == (
+        "run,seed,kind,transform,rs,rs_ci,wavelet,wavelet_ci\n"
+        "0,5,none,None,0.512,,0.707,0.013\n"
+        "0,5,filter,Log,0.5,,ERR:NonPositiveData,\n"
+        "1,6,none,None,1.06,,0.65,0.05\n"
+        "1,6,filter,Log,0.8,,0.9,\n"
+    )
+    assert format_matrix(matrix, "aligned") == (
+        "# unit --- run 0 (seed 5)\n"
+        "Transform  R/S    Wavelet\n"
+        "None       0.512  0.707 +- 0.013\n"
+        "Log        0.5    ERR:NonPositiveData\n"
+        "# unit --- run 1 (seed 6)\n"
+        "Transform  R/S    Wavelet\n"
+        "None       1.06   0.65 +- 0.05\n"
+        "Log        0.8    0.9\n"
+    )
 
 
 def test_format_matrix_error_token():
@@ -204,6 +227,13 @@ def test_parse_config_errors():
         build_experiment_spec(parse_config("source = trace\nmode = bins\npath = x\n"))  # width missing
 
 
+def test_cast_config_refuses_a_scalar_key_with_two_values():
+    with pytest.raises(hk.ConfigError) as exc:
+        cast_config({"source": ["iid"], "n": ["4096", "2048"]})
+    assert str(exc.value) == "key 'n' given more than once"
+    assert cast_config({"phi": ["0.5", "0.2"]}) == {"phi": [0.5, 0.2]}
+
+
 def test_file_source_with_skip_take(tmp_path):
     series = hk.gen_iid_gaussian(3000, 13)
     path = tmp_path / "series.txt"
@@ -274,6 +304,7 @@ def test_config_sine_cycles_flow_to_corruption():
         ("source = ar1\nn = 4096\nsigma = 0\n", ValueError, "innovation std"),
         ("source = fgn\nn = 8\n", hk.SeriesTooShort, "N >= 16"),
         ("source = iid\nn = 0\n", hk.SeriesTooShort, "N >= 1"),
+        ("source = ar1\nn = 50\nphi = 0.5\nphi = 0.3\n", hk.ConfigError, "an ar1 source takes one phi, got 2"),
     ],
 )
 def test_generator_parameters_rejected_when_spec_is_built(body, error, match):

@@ -10,21 +10,21 @@ from hurstkit import TimeSeries, daubechies_filters, dwt
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_filters_orthonormal(order):
     h, g = daubechies_filters(order)
-    assert h.sum() == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert h.sum() == pytest.approx(math.sqrt(2.0), abs=1e-14)
     # double-shift orthogonality of the scaling filter
     for k in range(1, order):
-        assert float(h[: -2 * k] @ h[2 * k :]) == pytest.approx(0.0, abs=1e-10)
-    assert float(h @ h) == pytest.approx(1.0, abs=1e-10)
-    assert float(g @ g) == pytest.approx(1.0, abs=1e-10)
-    assert float(h @ g) == pytest.approx(0.0, abs=1e-10)
-    assert g.sum() == pytest.approx(0.0, abs=1e-10)
+        assert float(h[: -2 * k] @ h[2 * k :]) == pytest.approx(0.0, abs=1e-14)
+    assert float(h @ h) == pytest.approx(1.0, abs=1e-14)
+    assert float(g @ g) == pytest.approx(1.0, abs=1e-14)
+    assert float(h @ g) == pytest.approx(0.0, abs=1e-14)
+    assert g.sum() == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_wavelet_filter_annihilates_linear_moment(order):
     _, g = daubechies_filters(order)
     m = np.arange(g.size)
-    assert float(m @ g) == pytest.approx(0.0, abs=1e-8)
+    assert float(m @ g) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_unknown_order_rejected():
