@@ -22,6 +22,8 @@ run_all() (
   for m in fgn farima ar1; do hk generate --model $m --n 4096 --seed 9 --out default_$m.txt; done
   # short enough that the R/S and aggregated-variance fits fall back to the full range
   hk generate --model iid --n 1100 --seed 8 --out iid_short.txt
+  hk generate --model ar1 --n 1 --seed 3 --out ar1_one.txt
+  hk generate --model iid --n 1024 --seed 11 --out iid_1024.txt
   for k in ar1 sine trend; do hk corrupt --kind $k --in fgn.txt --seed 2 --out corrupt_$k.txt; done
   hk corrupt --kind sine --cycles 3 --in fgn.txt --out corrupt_sine3.txt
   hk corrupt --kind ar1 --phi 0.5 --seed 4 --in fgn.txt --out corrupt_ar1_phi.txt
@@ -32,6 +34,7 @@ run_all() (
   hk estimate --method all --in iid_short.txt --out est_short_all.csv
   hk estimate --method lwhittle --bandwidth 200 --in fgn.txt --out est_lw.csv
   hk estimate --method aggvar --in fgn.txt --out est_aggvar.csv --dump-fit fit.txt
+  hk estimate --method wavelet --in iid_1024.txt --out est_wavelet_1024.csv
   hk acf --in fgn.txt --max-lag 100 --out acf.txt
   python3 -c "
 import numpy as np
@@ -43,6 +46,8 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --out bins.txt
   hk ingest --trace trace.txt --mode interarrival --skip 5 --take 10000 --out gaps.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --skip 3 --take 500 --out bins_window.txt
+  printf '2.5 40\n2.5 1500\n2.5 576\n' > same_time.txt
+  hk ingest --trace same_time.txt --mode bins --bin-width 0.001 --out bins_same_time.txt
   printf 'source = fgn\nn = 8192\nh = 0.7\nruns = 3\nseed = 1000\ncorruption = none\ncorruption = ar1\ncorruption = sine\ncorruption = trend\nestimator = all\nworkers = 1\nformat = csv\noutput = fgn_matrix.csv\n' > fgn.cfg
   hk matrix --config fgn.cfg
   hk matrix --config fgn.cfg --format aligned --out fgn_matrix.aligned
@@ -52,6 +57,8 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
   hk matrix --source farima --n 4096 --d 0.2 --phi 0.3 --runs 2 --seed 7 --estimator rs --estimator pgram --format aligned > farima_matrix.aligned
   hk matrix --source ar1 --n 4096 --phi 0.5 --sigma 2 --corruption none --corruption trend --workers 2 > ar1_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 10 --take 1500 --filter none --filter poly --estimator wavelet > tracesrc_matrix.csv
+  hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 20 --take 1200 --filter none --filter linear --estimator rs --estimator wavelet --format aligned --out tracesrc_bins.aligned
+  hk matrix --source trace --path trace.txt --mode interarrival --skip 7 --take 4000 --filter none --filter log --estimator aggvar --estimator lwhittle --format aligned --out tracesrc_gaps.aligned
 )
 
 run_all "$old" "$work/old"

@@ -72,9 +72,13 @@ def _cmd_source(args: argparse.Namespace) -> int:
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     (name,) = CORRUPTIONS(args.kind)
-    fields = cast_config(_flags(args)) | ({} if args.corruption_phi is None else {"phi": args.corruption_phi})
+    fields = cast_config(_flags(args))
     seed = fields.pop("seed", 0)
     refuse_unread(fields, transforms=[name], also=("phi",) if name == "ar1" else ())
+    if "phi" in fields:
+        if len(fields["phi"]) > 1:
+            raise ConfigError(f"an ar1 corruption takes one phi, got {len(fields['phi'])}")
+        fields["phi"] = fields["phi"][0]
     kind = CorruptionKind(name=name, **fields)
     return _write_series_arg(corrupt(FileSource(args.infile).make(0), kind, seed=seed), args.out)
 
@@ -172,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=[c for c in CORRUPTIONS.names if c != "none"])
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
-    _key_flags(p, "seed", "cycles")
-    p.add_argument("--phi", dest="corruption_phi", type=float, help="AR(1) coefficient (no config key)")
+    _key_flags(p, "seed", "cycles", "phi")
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("filter", help="apply a preprocessing filter")

@@ -228,8 +228,6 @@ def gen_ar1(spec: Ar1Spec) -> TimeSeries:
     """
     rng = np.random.default_rng(spec.seed)
     x0 = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
-    if spec.n == 1:
-        return TimeSeries([x0])
     eps = rng.standard_normal(spec.n - 1) * spec.sigma
     rest, _ = lfilter([1.0], [1.0, -spec.phi], eps, zi=np.array([spec.phi * x0]))
     return TimeSeries(np.concatenate(([x0], rest)))

@@ -135,6 +135,8 @@ class GeneratorSource:
         if self.model == "fgn":
             return gen_fgn, FgnSpec(hurst=self.hurst, n=self.n, seed=seed)
         if self.model == "farima":
+            if len(self.phi) > 2:
+                raise ConfigError(f"a farima source takes at most 2 phi, got {len(self.phi)}")
             return gen_farima, FarimaSpec(
                 d=self.d, n=self.n, seed=seed, ar=self.phi, ma=self.theta, sigma=self.sigma
             )
@@ -174,42 +176,40 @@ def open_input(path: str):
             yield fh
 
 
-def _check_window(skip: int, take: int | None) -> None:
-    if skip < 0:
-        raise ConfigError(f"skip must be >= 0, got {skip}")
-    if take is not None and take < 0:
-        raise ConfigError(f"take must be >= 0, got {take}")
-
-
 @dataclass(frozen=True)
 class FileSource:
-    """Series loaded from the one-value-per-line text format."""
+    """Series loaded from the one-value-per-line text format, optionally windowed."""
 
     path: str
     skip: int = 0
     take: int | None = None
 
     def __post_init__(self) -> None:
-        _check_window(self.skip, self.take)
+        if self.skip < 0:
+            raise ConfigError(f"skip must be >= 0, got {self.skip}")
+        if self.take is not None and self.take < 0:
+            raise ConfigError(f"take must be >= 0, got {self.take}")
+
+    def _read(self, fh: IO[str]) -> TimeSeries:
+        return read_series(fh)
 
     def make(self, seed: int) -> TimeSeries:
         with open_input(self.path) as fh:
-            series = read_series(fh)
-        return _slice_series(series, self.skip, self.take)
+            series = self._read(fh)
+        if self.skip == 0 and self.take is None:
+            return series
+        return TimeSeries(series.values[self.skip :][: self.take])
 
     def describe(self) -> str:
         return f"series file {self.path}"
 
 
 @dataclass(frozen=True)
-class TraceSource:
+class TraceSource(FileSource):
     """Packet trace reduced to bytes/bin or interarrival times."""
 
-    path: str
     mode: str = "interarrival"
     bin_width: float | None = None
-    skip: int = 0
-    take: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in TRACE_MODES:
@@ -220,27 +220,18 @@ class TraceSource:
             check_bin_width(self.bin_width)
         elif self.bin_width is not None:
             raise ConfigError("trace mode 'interarrival' reads no bin width ('bin-width')")
-        _check_window(self.skip, self.take)
+        super().__post_init__()
 
-    def make(self, seed: int) -> TimeSeries:
-        with open_input(self.path) as fh:
-            trace = parse_packet_trace(fh, source=self.path)
+    def _read(self, fh: IO[str]) -> TimeSeries:
+        trace = parse_packet_trace(fh, source=self.path)
         if self.mode == "bins":
-            series = bin_bytes(trace, float(self.bin_width))
-        else:
-            series = interarrival_series(trace)
-        return _slice_series(series, self.skip, self.take)
+            return bin_bytes(trace, float(self.bin_width))
+        return interarrival_series(trace)
 
     def describe(self) -> str:
         if self.mode == "bins":
             return f"trace {self.path} (bytes per {self.bin_width:g}s)"
         return f"trace {self.path} (interarrival times)"
-
-
-def _slice_series(series: TimeSeries, skip: int, take: int | None) -> TimeSeries:
-    if skip == 0 and take is None:
-        return series
-    return TimeSeries(series.values[skip:][:take])
 
 
 @dataclass(frozen=True)
@@ -265,6 +256,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown estimators: {unknown}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.fmt not in FORMATS:
@@ -490,6 +483,8 @@ def cast_config(mapping: dict[str, list[str]]) -> dict[str, Any]:
             except ValueError:
                 raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
         config[key] = values if spec.is_list else values[0]
+    if config.get("seed", 0) < 0:
+        raise ConfigError(f"key 'seed' must be >= 0, got {config['seed']}")
     return config
 
 

@@ -238,8 +238,6 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
     t0 = ts[0]
     span = ts[-1] - t0
     nbins = int(math.ceil(span / bin_width))
-    if nbins == 0:
-        return TimeSeries(np.empty(0))
     idx = ((ts - t0) // bin_width).astype(np.int64)
     keep = idx < nbins
     totals = np.bincount(idx[keep], weights=trace._sizes[keep], minlength=nbins)

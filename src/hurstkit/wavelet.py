@@ -114,8 +114,6 @@ def dwt(series: TimeSeries, order: int = 2, max_level: int | None = None) -> Dwt
     details: list[np.ndarray] = []
     clean_counts: list[int] = []
     for _ in range(max_level):
-        if approx.size < taps:
-            break
         if approx.size % 2:
             approx = approx[:-1]
             contaminated = max(0, contaminated - 1)
@@ -123,13 +121,11 @@ def dwt(series: TimeSeries, order: int = 2, max_level: int | None = None) -> Dwt
         # coefficient k reads inputs 2k..2k+taps-1; it is clean iff that
         # window avoids both the wrap and the contaminated tail
         clean = (approx.size - taps - contaminated) // 2 + 1
-        clean = max(0, min(clean, detail.size))
+        clean = max(0, clean)
         details.append(detail)
         clean_counts.append(clean)
         contaminated = detail.size - clean
         approx = next_approx
-    if not details:
-        raise SeriesTooShort(f"series of length {n} too short for a level-1 DWT with {taps} taps")
     return DwtPyramid(
         details=tuple(details),
         approx=approx,

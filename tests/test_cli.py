@@ -285,9 +285,14 @@ def test_matrix_flag_value_reports_config_parser_message(capsys, argv):
          "trace mode 'interarrival' reads no bin width ('bin-width')"),
         (["ingest", "--mode", "bins", "--bin-width", "0"], "bin width must be positive and finite, got 0.0"),
         (["ingest", "--mode", "bins", "--bin-width", "nan"], "bin width must be positive and finite, got nan"),
+        (["generate", "--model", "farima", "--n", "64", "--phi", "0.1", "--phi", "0.1", "--phi", "0.1"],
+         "a farima source takes at most 2 phi, got 3"),
+        (["corrupt", "--kind", "ar1", "--phi", "0.5", "--phi", "0.3"], "an ar1 corruption takes one phi, got 2"),
+        (["corrupt", "--kind", "ar1", "--phi", "x"], "key 'phi': cannot parse 'x'"),
     ],
     ids=["fgn-d", "fgn-sigma", "ar1-theta", "ar1-two-phi", "trend-phi", "trend-cycles", "ar1-cycles", "log-degree",
-         "file-h", "interarrival-width", "width-0", "width-nan"],
+         "file-h", "interarrival-width", "width-0", "width-nan", "farima-three-phi", "corrupt-ar1-two-phi",
+         "corrupt-phi-unparsable"],
 )
 def test_unread_parameters_are_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.txt")
@@ -320,6 +325,27 @@ def test_a_scalar_key_flag_given_twice_is_refused(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"hurstkit: error: key {key!r} given more than once\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["generate", "--model", "fgn", "--n", "64", "--seed", "-3"], -3),
+        (["corrupt", "--kind", "trend", "--seed", "-5", "--in", "missing.txt"], -5),
+        (["corrupt", "--kind", "ar1", "--seed", "-1", "--in", "missing.txt"], -1),
+        (["matrix", "--source", "iid", "--n", "2048", "--seed", "-1", "--out", "m.csv"], -1),
+        (["matrix", "--config", "{cfg}"], -2),
+    ],
+    ids=["generate", "corrupt-trend", "corrupt-ar1", "matrix-flag", "matrix-config"],
+)
+def test_a_negative_seed_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch, argv, value):
+    """Flags and config files share one seed check, which names the key."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path / "c.cfg", b"source = iid\nn = 2048\nseed = -2\noutput = m.csv\n")
+    assert run_cli(*[a.format(cfg=cfg) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"hurstkit: error: key 'seed' must be >= 0, got {value}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
 
 
 def _write_inputs(d):

@@ -306,3 +306,44 @@ def test_estimators_work_at_minimum_lengths():
         assert math.isfinite(fn(thousand).hurst)
     wav_min = TimeSeries(np.random.default_rng(7).standard_normal(1024))
     assert math.isfinite(est_wavelet(wav_min).hurst)
+
+
+@pytest.mark.parametrize(
+    "fn, fit_min, fit_max",
+    [(est_rs, 20, 200), (est_rs, 16, 72), (est_aggvar, 4, 120), (est_aggvar, 12, 60)],
+    ids=["rs-wide", "rs-default", "aggvar-wide", "aggvar-narrow"],
+)
+def test_block_estimators_report_the_fit_window_they_were_given(medium_iid, fn, fit_min, fit_max):
+    report = fn(medium_iid, fit_min=fit_min, fit_max=fit_max)
+    sizes = np.rint(np.exp(report.fit.xs))
+    inside = np.flatnonzero((sizes >= fit_min) & (sizes <= fit_max))
+    assert (report.fit.fit_lo, report.fit.fit_hi) == (inside[0], inside[-1])
+    assert report.diagnostics["fit_window"] == (sizes[inside[0]], sizes[inside[-1]])
+    assert "fit_range" not in report.diagnostics
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.1, 0.3, 1.0])
+def test_periodogram_bins_used_follows_freq_fraction(medium_iid, fraction):
+    report = est_periodogram(medium_iid, freq_fraction=fraction)
+    used = int(fraction * len(report.fit.xs))
+    assert report.diagnostics["bins_used"] == used
+    assert (report.fit.fit_lo, report.fit.fit_hi) == (0, used - 1)
+
+
+@pytest.mark.parametrize("j1, min_level_coeffs", [(3, 64), (2, 32), (1, 100)])
+def test_wavelet_reports_the_octaves_it_was_given(medium_iid, j1, min_level_coeffs):
+    report = est_wavelet(medium_iid, j1=j1, min_level_coeffs=min_level_coeffs)
+    diags = report.diagnostics
+    assert (diags["j1"], diags["min_level_coeffs"]) == (j1, min_level_coeffs)
+    assert report.fit.xs[report.fit.fit_lo] == pytest.approx(j1 * math.log(2.0))
+    deepest = max(j for j, c in enumerate(diags["clean_coeffs"], start=1) if c >= min_level_coeffs)
+    assert diags["j2"] == deepest
+    assert report.fit.xs[report.fit.fit_hi] == pytest.approx(deepest * math.log(2.0))
+
+
+@pytest.mark.parametrize("j1, usable", [(6, 1), (7, 0)])
+def test_wavelet_refuses_fewer_than_three_octaves(j1, usable):
+    series = TimeSeries(np.random.default_rng(7).standard_normal(1024))
+    with pytest.raises(hk.SeriesTooShort) as exc:
+        est_wavelet(series, j1=j1)
+    assert str(exc.value) == f"wavelet estimator needs >= 3 usable octaves from j1={j1}, got {usable}"

@@ -220,3 +220,13 @@ def test_ar1_deterministic():
     a = gen_ar1(Ar1Spec(phi=0.9, n=500, seed=3))
     b = gen_ar1(Ar1Spec(phi=0.9, n=500, seed=3))
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("phi, sigma", [(0.9, 1.0), (-0.5, 2.5)])
+def test_ar1_of_one_point_is_the_stationary_first_draw(seed, phi, sigma):
+    x0 = np.random.default_rng(seed).standard_normal() * sigma / math.sqrt(1.0 - phi**2)
+    one = gen_ar1(Ar1Spec(phi=phi, n=1, seed=seed, sigma=sigma))
+    assert one.values.dtype == np.float64
+    assert one.values.tolist() == [x0]
+    assert gen_ar1(Ar1Spec(phi=phi, n=8, seed=seed, sigma=sigma)).values[0] == x0

@@ -312,6 +312,73 @@ def test_generator_parameters_rejected_when_spec_is_built(body, error, match):
         build_experiment_spec(parse_config(body))
 
 
+def test_a_farima_source_takes_at_most_two_phi():
+    body = "source = farima\nn = 64\nphi = 0.1\nphi = 0.1\nphi = 0.1\n"
+    with pytest.raises(hk.ConfigError) as exc:
+        build_experiment_spec(parse_config(body))
+    assert str(exc.value) == "a farima source takes at most 2 phi, got 3"
+    with pytest.raises(hk.ConfigError) as exc:
+        GeneratorSource(model="farima", n=64, phi=(0.1, 0.1, 0.1))
+    assert str(exc.value) == "a farima source takes at most 2 phi, got 3"
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(hk.ConfigError) as exc:
+        build_experiment_spec(parse_config("source = iid\nn = 2048\nseed = -1\n"))
+    assert str(exc.value) == "key 'seed' must be >= 0, got -1"
+    with pytest.raises(hk.ConfigError) as exc:
+        small_spec(base_seed=-1)
+    assert str(exc.value) == "base_seed must be >= 0, got -1"
+    assert small_spec(base_seed=0).base_seed == 0
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("source = bogus\nn = 4096\n", "unknown source 'bogus'"),
+        ("n = 4096\n", "config needs a 'source' (fgn|farima|ar1|iid|file|trace)"),
+        ("source = trace\npath = x\nmode = bogus\n", "trace mode must be 'bins' or 'interarrival', got 'bogus'"),
+    ],
+    ids=["unknown-source", "no-source", "unknown-trace-mode"],
+)
+def test_build_source_refusals(body, message):
+    with pytest.raises(hk.ConfigError) as exc:
+        build_experiment_spec(parse_config(body))
+    assert str(exc.value) == message
+
+
+def test_aligned_headings_describe_each_source(tmp_path):
+    farima = small_spec(
+        source=GeneratorSource(model="farima", n=2048, d=0.3, phi=(0.5, 0.2), theta=(0.1,)),
+        corruptions=(), estimators=("rs",),
+    )
+    lines = format_matrix(run_matrix(farima), "aligned").splitlines()
+    assert lines[:2] == [
+        "# 2048 points FARIMA(2,d,1) d=0.3 phi=[0.5, 0.2] theta=[0.1] --- run 0 (seed 11)",
+        "Transform  R/S",
+    ]
+    path = tmp_path / "t.txt"
+    path.write_text("".join(f"{i * 0.25} {40 + i % 3}\n" for i in range(400)), encoding="ascii")
+    for source, heading in [
+        (hk.TraceSource(path=str(path), mode="bins", bin_width=0.5, skip=2, take=150),
+         f"# trace {path} (bytes per 0.5s) --- run 0 (seed 11)"),
+        (hk.TraceSource(path=str(path), skip=1), f"# trace {path} (interarrival times) --- run 0 (seed 11)"),
+    ]:
+        spec = small_spec(source=source, corruptions=(), estimators=("rs",))
+        assert format_matrix(run_matrix(spec), "aligned").splitlines()[0] == heading
+
+
+def test_trace_source_is_a_windowed_file_source(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("".join(f"{i * 0.25} {40 + i % 3}\n" for i in range(40)), encoding="ascii")
+    trace = hk.parse_packet_trace(io.StringIO(path.read_text(encoding="ascii")))
+    source = hk.TraceSource(path=str(path), mode="bins", bin_width=0.5, skip=3, take=7)
+    assert isinstance(source, hk.FileSource)
+    np.testing.assert_array_equal(source.make(0).values, hk.bin_bytes(trace, 0.5).values[3:10])
+    whole = hk.TraceSource(path=str(path))
+    np.testing.assert_array_equal(whole.make(0).values, hk.interarrival_series(trace).values)
+
+
 @pytest.mark.parametrize(
     "body, message",
     [

@@ -77,6 +77,17 @@ def test_bin_bytes_single_packet_is_empty():
     assert len(series) == 0
 
 
+@pytest.mark.parametrize(
+    "pairs, width",
+    [([(2.0, 40), (2.0, 1500), (2.0, 576)], 1.0), ([(0.0, 40), (5e-324, 576)], 1e300)],
+    ids=["one-timestamp", "span-underflows"],
+)
+def test_bin_bytes_of_a_zero_span_is_an_empty_float_series(pairs, width):
+    series = bin_bytes(trace_of(pairs), width)
+    assert series.values.dtype == np.float64
+    assert series.values.shape == (0,)
+
+
 def test_bin_bytes_zero_bins_are_kept():
     trace = trace_of([(0.0, 10), (3.5, 20)])
     series = bin_bytes(trace, 1.0)

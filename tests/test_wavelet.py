@@ -92,3 +92,15 @@ def test_dwt_odd_lengths_truncate():
 def test_dwt_precondition():
     with pytest.raises(hk.SeriesTooShort):
         dwt(TimeSeries(np.arange(31.0)), max_level=3)  # needs 2^(3+2)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_dwt_returns_every_level_it_accepts(order):
+    """Each accepted (N, max_level) yields exactly max_level levels, clean counts in range."""
+    rng = np.random.default_rng(order)
+    for n in [*range(8, 300), 511, 1024, 1025, 3000]:
+        x = TimeSeries(rng.standard_normal(n))
+        for max_level in range(1, int(math.log2(n)) - 1):
+            pyr = dwt(x, order=order, max_level=max_level)
+            assert len(pyr.details) == len(pyr.clean_counts) == max_level
+            assert all(0 <= c <= d.size for c, d in zip(pyr.clean_counts, pyr.details))
