@@ -24,7 +24,8 @@ run_all() (
   hk generate --model iid --n 1100 --seed 8 --out iid_short.txt
   hk generate --model ar1 --n 1 --seed 3 --out ar1_one.txt
   hk generate --model iid --n 1024 --seed 11 --out iid_1024.txt
-  for k in ar1 sine trend; do hk corrupt --kind $k --in fgn.txt --seed 2 --out corrupt_$k.txt; done
+  hk corrupt --kind ar1 --in fgn.txt --seed 2 --out corrupt_ar1.txt
+  for k in sine trend; do hk corrupt --kind $k --in fgn.txt --out corrupt_$k.txt; done
   hk corrupt --kind sine --cycles 3 --in fgn.txt --out corrupt_sine3.txt
   hk corrupt --kind ar1 --phi 0.5 --seed 4 --in fgn.txt --out corrupt_ar1_phi.txt
   python3 -c "print('\n'.join(str(1.0 + i % 7) for i in range(4096)))" > pos.txt
@@ -35,6 +36,11 @@ run_all() (
   hk estimate --method lwhittle --bandwidth 200 --in fgn.txt --out est_lw.csv
   hk estimate --method aggvar --in fgn.txt --out est_aggvar.csv --dump-fit fit.txt
   hk estimate --method wavelet --in iid_1024.txt --out est_wavelet_1024.csv
+  # R/S steps all walks at once where a size has >= 512 blocks: up to 256 points on 2^17, 16 on 8192
+  hk generate --model fgn --h 0.7 --n 131072 --seed 12 --out fgn_2e17.txt
+  for f in fgn fgn_2e17; do
+    for m in rs wavelet; do hk estimate --method $m --in $f.txt --out est_${m}_$f.csv --dump-fit fit_${m}_$f.txt; done
+  done
   hk acf --in fgn.txt --max-lag 100 --out acf.txt
   python3 -c "
 import numpy as np

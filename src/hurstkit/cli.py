@@ -73,6 +73,8 @@ def _cmd_source(args: argparse.Namespace) -> int:
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     (name,) = CORRUPTIONS(args.kind)
     fields = cast_config(_flags(args))
+    if "seed" in fields and name != "ar1":
+        raise ConfigError(f"key 'seed' is not read by transform {name!r}")
     seed = fields.pop("seed", 0)
     refuse_unread(fields, transforms=[name], also=("phi",) if name == "ar1" else ())
     if "phi" in fields:

@@ -196,6 +196,33 @@ def _block_fit(sizes, values, fit_min: float, fit_max: float) -> tuple[LogLogFit
     return fit, diags
 
 
+_RS_STEPPED_BLOCKS = 512  # block count from which _rs_ratios steps every walk at once
+
+
+def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
+    """Mean R/S over the blocks of each size; 0 where every block is constant."""
+    ratios = []
+    for block in grid:
+        nblocks = values.size // block
+        chunk = values[: nblocks * block].reshape(nblocks, block)
+        dev = chunk - chunk.mean(axis=1, keepdims=True)
+        std = np.sqrt(np.add.reduce(dev * dev, axis=1) / block)  # chunk.std's own arithmetic
+        if nblocks >= _RS_STEPPED_BLOCKS:
+            # A per-row cumsum is latency-bound; stepping all walks at once vectorises
+            # across blocks while each walk still adds left to right, so the bits match.
+            walks = np.empty((block, nblocks))
+            walks[0] = dev[:, 0]
+            for k in range(1, block):
+                np.add(walks[k - 1], dev[:, k], out=walks[k])
+            rng_ = walks.max(axis=0) - walks.min(axis=0)
+        else:
+            walks = np.cumsum(dev, axis=1, out=dev)
+            rng_ = walks.max(axis=1) - walks.min(axis=1)
+        ok = std > 0.0
+        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
+    return ratios
+
+
 def est_rs(
     series: TimeSeries,
     *,
@@ -220,19 +247,8 @@ def est_rs(
     fit_max = fit_max if fit_max is not None else max(n // 100, fit_min + 2)
     grid = _log_grid(max(2, n_min), max(n_min + 1, n_max), grid_points)
     grid = grid[grid <= n]
-
-    ratios = []  # 0 where every block is constant: _block_fit drops the size
-    for block in grid:
-        nblocks = n // block
-        chunk = series.values[: nblocks * block].reshape(nblocks, block)
-        dev = chunk - chunk.mean(axis=1, keepdims=True)
-        walks = np.cumsum(dev, axis=1)
-        rng_ = walks.max(axis=1) - walks.min(axis=1)
-        std = chunk.std(axis=1)
-        ok = std > 0.0
-        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
-
-    fit, diags = _block_fit(grid, ratios, fit_min, fit_max)
+    # a size whose ratio is 0 has only constant blocks: _block_fit drops it
+    fit, diags = _block_fit(grid, _rs_ratios(series.values, grid), fit_min, fit_max)
     diags["c_h"] = math.exp(fit.intercept)
     return _report("rs", fit.slope, fit, diags)
 

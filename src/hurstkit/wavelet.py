@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SeriesTooShort
 from .series import TimeSeries
@@ -89,11 +90,10 @@ class DwtPyramid:
 
 
 def _analysis_step(approx: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # row k holds approx[(2k + t) % n] for t < taps; np.resize repeats approx cyclically
     n = approx.size
     taps = h.size
-    half = n // 2
-    idx = (2 * np.arange(half)[:, None] + np.arange(taps)[None, :]) % n
-    windows = approx[idx]
+    windows = np.ascontiguousarray(sliding_window_view(np.resize(approx, n + taps), taps)[: n // 2 * 2 : 2])
     return windows @ h, windows @ g
 
 

@@ -289,10 +289,13 @@ def test_matrix_flag_value_reports_config_parser_message(capsys, argv):
          "a farima source takes at most 2 phi, got 3"),
         (["corrupt", "--kind", "ar1", "--phi", "0.5", "--phi", "0.3"], "an ar1 corruption takes one phi, got 2"),
         (["corrupt", "--kind", "ar1", "--phi", "x"], "key 'phi': cannot parse 'x'"),
+        (["corrupt", "--kind", "trend", "--seed", "1"], "key 'seed' is not read by transform 'linear_trend'"),
+        (["corrupt", "--kind", "sine", "--seed", "2"], "key 'seed' is not read by transform 'sine'"),
+        (["corrupt", "--kind", "sine", "--cycles", "3", "--seed", "0"], "key 'seed' is not read by transform 'sine'"),
     ],
     ids=["fgn-d", "fgn-sigma", "ar1-theta", "ar1-two-phi", "trend-phi", "trend-cycles", "ar1-cycles", "log-degree",
          "file-h", "interarrival-width", "width-0", "width-nan", "farima-three-phi", "corrupt-ar1-two-phi",
-         "corrupt-phi-unparsable"],
+         "corrupt-phi-unparsable", "trend-seed", "sine-seed", "sine-cycles-seed-0"],
 )
 def test_unread_parameters_are_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.txt")

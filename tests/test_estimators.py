@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hurstkit as hk
+import hurstkit.estimators as estimators
 from hurstkit import (
     TimeSeries,
     est_aggvar,
@@ -347,3 +349,89 @@ def test_wavelet_refuses_fewer_than_three_octaves(j1, usable):
     with pytest.raises(hk.SeriesTooShort) as exc:
         est_wavelet(series, j1=j1)
     assert str(exc.value) == f"wavelet estimator needs >= 3 usable octaves from j1={j1}, got {usable}"
+
+
+# --- R/S kernel against its plain per-block form --------------------------
+
+
+def _reference_rs_ratios(values, grid):
+    """The plain form of _rs_ratios: a cumsum per block and chunk.std."""
+    ratios = []
+    for block in grid:
+        nblocks = values.size // block
+        chunk = values[: nblocks * block].reshape(nblocks, block)
+        dev = chunk - chunk.mean(axis=1, keepdims=True)
+        walks = np.cumsum(dev, axis=1)
+        rng_ = walks.max(axis=1) - walks.min(axis=1)
+        std = chunk.std(axis=1)
+        ok = std > 0.0
+        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
+    return ratios
+
+
+def _rs_series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "step":  # constant 16-point runs: blocks of std 0, and sizes made only of them
+        return np.repeat(np.arange(n // 16 + 1) % 3, 16)[:n].astype(float)
+    if kind == "bytes":  # zero-heavy packet byte counts
+        return rng.choice([0.0, 0.0, 0.0, 40.0, 576.0, 1500.0], size=n)
+    if kind == "fgn":
+        return hk.gen_fgn(hk.FgnSpec(hurst=0.8, n=n, seed=seed)).values
+    return rng.standard_normal(n) + (1e8 if kind == "offset" else 0.0)
+
+
+def _rs_with(kernel, series, n_min):
+    """(grid, ratios, report) of est_rs with ``kernel`` as its ratio loop, or the refusal's text."""
+    seen = []
+
+    def record(values, grid):
+        seen.append((grid, kernel(values, grid)))
+        return seen[-1][1]
+
+    with mock.patch.object(estimators, "_rs_ratios", record):
+        try:
+            report = est_rs(series, n_min=n_min)
+        except hk.HurstkitError as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return (*seen[0], report)
+
+
+def _assert_rs_matches_reference(values, n_min):
+    series = TimeSeries(values)
+    got = _rs_with(estimators._rs_ratios, series, n_min)
+    want = _rs_with(_reference_rs_ratios, series, n_min)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (grid, ratios, report), (_, want_ratios, want_report) = got, want
+    assert [r.hex() for r in ratios] == [r.hex() for r in want_ratios]
+
+    def bits(r):
+        return [float(v).hex() for v in (r.hurst, r.fit.slope_se, r.fit.intercept, *r.fit.xs, *r.fit.ys)]
+
+    assert bits(report) == bits(want_report)
+    assert report.diagnostics == want_report.diagnostics
+    return grid
+
+
+@pytest.mark.parametrize(
+    "kind, n, n_min",
+    [("fgn", 2**17, 10), ("iid", 300_000, 10), ("bytes", 300_000, 2), ("step", 65_536, 2), ("offset", 100_000, 10),
+     ("iid", 64, 2), ("step", 2_000, 10)],
+)
+def test_rs_matches_the_per_row_reference(kind, n, n_min):
+    grid = _assert_rs_matches_reference(_rs_series(kind, n, seed=n), n_min)
+    if n >= 100_000:  # both walk layouts ran
+        nblocks = n // grid
+        assert nblocks.max() >= estimators._RS_STEPPED_BLOCKS > nblocks.min()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["iid", "bytes", "step", "offset"]),
+    log_n=st.floats(math.log(64), math.log(300_000)),
+    n_min=st.sampled_from([2, 10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rs_matches_the_per_row_reference_property(kind, log_n, n_min, seed):
+    _assert_rs_matches_reference(_rs_series(kind, int(math.exp(log_n)), seed), n_min)

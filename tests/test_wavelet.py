@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hurstkit as hk
+import hurstkit.wavelet as wavelet
 from hurstkit import TimeSeries, daubechies_filters, dwt
 
 
@@ -104,3 +105,25 @@ def test_dwt_returns_every_level_it_accepts(order):
             pyr = dwt(x, order=order, max_level=max_level)
             assert len(pyr.details) == len(pyr.clean_counts) == max_level
             assert all(0 <= c <= d.size for c, d in zip(pyr.clean_counts, pyr.details))
+
+
+def _reference_analysis_step(approx, h, g):
+    """The plain form of _analysis_step: gather approx[(2k + t) % n] by index."""
+    n, taps = approx.size, h.size
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
+    windows = approx[idx]
+    return windows @ h, windows @ g
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_analysis_step_matches_the_index_gather(order):
+    """Bit for bit, signed zeros included, also for inputs shorter than the filter."""
+    h, g = daubechies_filters(order)
+    rng = np.random.default_rng(order)
+    for n in range(2, 301):
+        approx = rng.standard_normal(n)
+        approx[rng.random(n) < 0.2] = -0.0
+        approx[rng.random(n) < 0.1] = 0.0
+        for x in (approx, np.full(n, -0.0)):
+            for got, want in zip(wavelet._analysis_step(x, h, g), _reference_analysis_step(x, h, g)):
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), n
