@@ -41,6 +41,15 @@ run_all() (
   for f in fgn fgn_2e17; do
     for m in rs wavelet; do hk estimate --method $m --in $f.txt --out est_${m}_$f.csv --dump-fit fit_${m}_$f.txt; done
   done
+  # AR(1) recursion, ACF FFT length and bounded Brent minimiser at scale
+  hk generate --model ar1 --phi 0.99 --n 131072 --seed 13 --out ar1_099_2e17.txt
+  hk generate --model ar1 --phi -0.9 --n 131072 --seed 14 --out ar1_m09_2e17.txt
+  hk corrupt --kind ar1 --in fgn_2e17.txt --seed 15 --out corrupt_ar1_2e17.txt
+  hk estimate --method lwhittle --in fgn_2e17.txt --out est_lw_fgn_2e17.csv
+  hk estimate --method lwhittle --bandwidth 300 --in ar1.txt --out est_lw_ar1.csv
+  # 2n = 7000 = 2^3 5^3 7 is its own FFT length; a 5-smooth rule would take 7200
+  hk generate --model iid --n 3500 --seed 16 --out iid_3500.txt
+  hk acf --in iid_3500.txt --max-lag 500 --out acf_3500.txt
   hk acf --in fgn.txt --max-lag 100 --out acf.txt
   python3 -c "
 import numpy as np

@@ -8,6 +8,7 @@ fatal errors print a one-line diagnostic and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 
@@ -99,6 +100,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise ConfigError("--bandwidth applies only to --method lwhittle or all")
     if args.dump_fit and (len(methods) != 1 or methods == ("local_whittle",)):
         raise ConfigError("--dump-fit needs one estimator with a log-log fit, not 'all' or 'lwhittle'")
+    if args.dump_fit not in (None, "-") and args.out != "-":
+        if os.path.realpath(args.dump_fit) == os.path.realpath(args.out):
+            raise ConfigError("--dump-fit and --out name the same file")
     series = FileSource(args.infile).make(0)
     reports = [
         estimate(series, method, **({"m": args.bandwidth} if method == "local_whittle" else {}))

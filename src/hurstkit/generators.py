@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .errors import BadHurst, ExplosiveAR, NonStationaryAR, SeriesTooShort
 from .series import TimeSeries
@@ -203,6 +203,9 @@ def fractional_ma_coefficients(d: float, count: int) -> np.ndarray:
 
 def gen_farima(spec: FarimaSpec) -> TimeSeries:
     """FARIMA(p,d,q) sample path (variance model-determined, not rescaled)."""
+    # The one scipy user: imported here so that nothing else pays for it.
+    from scipy.signal import fftconvolve, lfilter
+
     n = spec.n
     warmup = n  # full-history truncation: K = N
     total = n + warmup
@@ -229,5 +232,5 @@ def gen_ar1(spec: Ar1Spec) -> TimeSeries:
     rng = np.random.default_rng(spec.seed)
     x0 = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
     eps = rng.standard_normal(spec.n - 1) * spec.sigma
-    rest, _ = lfilter([1.0], [1.0, -spec.phi], eps, zi=np.array([spec.phi * x0]))
-    return TimeSeries(np.concatenate(([x0], rest)))
+    phi = spec.phi
+    return TimeSeries(list(accumulate(eps.tolist(), lambda x, e: e + phi * x, initial=x0)))

@@ -10,12 +10,12 @@ estimator is the biased one (denominator ``N`` at every lag), which keeps
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import BadBlock, DegenerateSeries, LagOutOfRange, MalformedLine, SeriesTooShort
 
@@ -96,6 +96,27 @@ def summary_stats(series: TimeSeries) -> SummaryStats:
     return series.stats
 
 
+@cache
+def _smooth_numbers(limit: int) -> list[int]:
+    """Every 2^a 3^b 5^c 7^d 11^e <= limit, ascending."""
+    numbers = [1]
+    for prime in (2, 3, 5, 7, 11):
+        grown = []
+        for m in numbers:
+            while m <= limit:
+                grown.append(m)
+                m *= prime
+        numbers = grown
+    return sorted(numbers)
+
+
+def _fast_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= target, the FFT length rule of
+    ``scipy.fft.next_fast_len`` (default ``real=False``)."""
+    numbers = _smooth_numbers(1 << (target - 1).bit_length())
+    return numbers[bisect_left(numbers, target)]
+
+
 def acf(series: TimeSeries, max_lag: int) -> AcfCurve:
     """Biased sample autocorrelation up to ``max_lag``.
 
@@ -112,7 +133,7 @@ def acf(series: TimeSeries, max_lag: int) -> AcfCurve:
         raise DegenerateSeries("autocorrelation undefined for a constant series")
 
     centered = series.values - stats.mean
-    nfft = next_fast_len(2 * n)
+    nfft = _fast_len(2 * n)
     spec = np.fft.rfft(centered, nfft)
     acov = np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1] / n
     rho = acov / acov[0] + 0.0  # +0.0 normalises -0.0

@@ -151,6 +151,16 @@ def test_estimate_dump_fit(tmp_path):
     assert flags <= {"0", "1"} and "1" in flags
 
 
+def test_estimate_dump_fit_and_out_both_on_stdout(tmp_path, capsys):
+    src = tmp_path / "s.txt"
+    run_cli("generate", "--model", "fgn", "--n", "4096", "--seed", "5", "--out", str(src))
+    capsys.readouterr()
+    assert run_cli("estimate", "--method", "aggvar", "--in", str(src), "--out", "-", "--dump-fit", "-") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("method,h,") and lines[1].startswith("aggvar,")
+    assert len(lines) > 2 and all(len(line.split()) == 3 for line in lines[2:])
+
+
 def test_matrix_with_config_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -240,9 +250,11 @@ def _write(path, data: bytes):
                    "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(2000)))],
         lambda d: ["estimate", "--method", "lwhittle", "--dump-fit", str(d / "fit.txt"),
                    "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(2000)))],
+        lambda d: ["estimate", "--method", "rs", "--out", str(d / "d.txt"), "--dump-fit", str(d / "." / "d.txt"),
+                   "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(2000)))],
     ],
     ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii",
-         "bandwidth-without-lwhittle", "dump-fit-all", "dump-fit-lwhittle"],
+         "bandwidth-without-lwhittle", "dump-fit-all", "dump-fit-lwhittle", "dump-fit-is-out"],
 )
 def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
     assert run_cli(*argv(tmp_path)) == 2
@@ -292,10 +304,12 @@ def test_matrix_flag_value_reports_config_parser_message(capsys, argv):
         (["corrupt", "--kind", "trend", "--seed", "1"], "key 'seed' is not read by transform 'linear_trend'"),
         (["corrupt", "--kind", "sine", "--seed", "2"], "key 'seed' is not read by transform 'sine'"),
         (["corrupt", "--kind", "sine", "--cycles", "3", "--seed", "0"], "key 'seed' is not read by transform 'sine'"),
+        (["estimate", "--method", "rs", "--in", "{missing}", "--out", "{missing}.csv", "--dump-fit", "{missing}.csv"],
+         "--dump-fit and --out name the same file"),
     ],
     ids=["fgn-d", "fgn-sigma", "ar1-theta", "ar1-two-phi", "trend-phi", "trend-cycles", "ar1-cycles", "log-degree",
          "file-h", "interarrival-width", "width-0", "width-nan", "farima-three-phi", "corrupt-ar1-two-phi",
-         "corrupt-phi-unparsable", "trend-seed", "sine-seed", "sine-cycles-seed-0"],
+         "corrupt-phi-unparsable", "trend-seed", "sine-seed", "sine-cycles-seed-0", "dump-fit-is-out"],
 )
 def test_unread_parameters_are_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.txt")
