@@ -47,6 +47,9 @@ run_all() (
   hk corrupt --kind ar1 --in fgn_2e17.txt --seed 15 --out corrupt_ar1_2e17.txt
   hk estimate --method lwhittle --in fgn_2e17.txt --out est_lw_fgn_2e17.csv
   hk estimate --method lwhittle --bandwidth 300 --in ar1.txt --out est_lw_ar1.csv
+  # rows under 16 points are summed as column adds: aggvar's block sizes 2-13 on 2^17 points
+  hk estimate --method aggvar --in fgn_2e17.txt --out est_aggvar_fgn_2e17.csv --dump-fit fit_aggvar_fgn_2e17.txt
+  hk corrupt --kind ar1 --phi -0.99 --in fgn_2e17.txt --seed 17 --out corrupt_ar1_m099_2e17.txt
   # 2n = 7000 = 2^3 5^3 7 is its own FFT length; a 5-smooth rule would take 7200
   hk generate --model iid --n 3500 --seed 16 --out iid_3500.txt
   hk acf --in iid_3500.txt --max-lag 500 --out acf_3500.txt
@@ -59,6 +62,7 @@ s = rng.choice([40, 576, 1500], size=20000)
 print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
 " > trace.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --out bins.txt
+  hk estimate --method all --in bins.txt --out est_all_bins.csv
   hk ingest --trace trace.txt --mode interarrival --skip 5 --take 10000 --out gaps.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --skip 3 --take 500 --out bins_window.txt
   printf '2.5 40\n2.5 1500\n2.5 576\n' > same_time.txt

@@ -30,7 +30,7 @@ from .errors import (
     NonPositivePoint,
     SeriesTooShort,
 )
-from .series import TimeSeries, aggregate
+from .series import TimeSeries, _row_sums, aggregate
 from .spectral import periodogram as compute_periodogram
 from .wavelet import dwt
 
@@ -204,8 +204,8 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
     for block in grid:
         nblocks = values.size // block
         chunk = values[: nblocks * block].reshape(nblocks, block)
-        dev = chunk - chunk.mean(axis=1, keepdims=True)
-        std = np.sqrt(np.add.reduce(dev * dev, axis=1) / block)  # chunk.std's own arithmetic
+        dev = chunk - (_row_sums(chunk) / block)[:, None]  # chunk.mean's own arithmetic
+        std = np.sqrt(_row_sums(dev * dev) / block)  # and chunk.std's
         if nblocks >= _RS_STEPPED_BLOCKS:
             # A per-row cumsum is latency-bound; stepping all walks at once vectorises
             # across blocks while each walk still adds left to right, so the bits match.

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -233,4 +232,10 @@ def gen_ar1(spec: Ar1Spec) -> TimeSeries:
     x0 = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
     eps = rng.standard_normal(spec.n - 1) * spec.sigma
     phi = spec.phi
-    return TimeSeries(list(accumulate(eps.tolist(), lambda x, e: e + phi * x, initial=x0)))
+    x = x0
+    path = [x]
+    append = path.append
+    for e in eps.tolist():
+        x = e + phi * x
+        append(x)
+    return TimeSeries(path)

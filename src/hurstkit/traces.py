@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_MAX_BINS = int(np.iinfo(np.intp).max) // 8  # float64 bins whose byte count fits in intp
 _COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
 # a byte that is not whitespace to both NumPy's reader and str.split()
 _DATA_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
@@ -236,11 +237,23 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
     check_bin_width(bin_width)
     ts = trace._timestamps
     t0 = ts[0]
-    span = ts[-1] - t0
-    nbins = int(math.ceil(span / bin_width))
+    span = float(ts[-1] - t0)
+    bins = span / bin_width
+    if not bins <= _MAX_BINS:  # also refuses a quotient that overflowed to inf
+        raise BadBinWidth(
+            f"bin width {bin_width!r} cuts the {span!r} s trace into {bins:.3g} bins, "
+            "more than an array can index"
+        )
+    nbins = math.ceil(bins)
     idx = ((ts - t0) // bin_width).astype(np.int64)
     keep = idx < nbins
-    totals = np.bincount(idx[keep], weights=trace._sizes[keep], minlength=nbins)
+    try:
+        totals = np.bincount(idx[keep], weights=trace._sizes[keep], minlength=nbins)
+    except MemoryError:
+        raise BadBinWidth(
+            f"bin width {bin_width!r} cuts the {span!r} s trace into {nbins} bins, "
+            "more than memory can hold"
+        ) from None
     return TimeSeries(totals)
 
 

@@ -252,9 +252,14 @@ def _write(path, data: bytes):
                    "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(2000)))],
         lambda d: ["estimate", "--method", "rs", "--out", str(d / "d.txt"), "--dump-fit", str(d / "." / "d.txt"),
                    "--in", _write(d / "s.txt", b"".join(b"%d\n" % (i % 7) for i in range(2000)))],
+        lambda d: ["ingest", "--trace", _write(d / "t.txt", b"0.0 40\n0.4 576\n"), "--mode", "bins",
+                   "--bin-width", "1e-300"],
+        lambda d: ["matrix", "--source", "trace", "--path", _write(d / "t.txt", b"0.0 40\n0.4 576\n"),
+                   "--mode", "bins", "--bin-width", "1e-300"],
     ],
     ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii",
-         "bandwidth-without-lwhittle", "dump-fit-all", "dump-fit-lwhittle", "dump-fit-is-out"],
+         "bandwidth-without-lwhittle", "dump-fit-all", "dump-fit-lwhittle", "dump-fit-is-out",
+         "ingest-bins-overflow", "matrix-trace-bins-overflow"],
 )
 def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
     assert run_cli(*argv(tmp_path)) == 2

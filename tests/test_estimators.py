@@ -19,6 +19,7 @@ from hurstkit import (
     local_whittle_minimize,
     loglog_fit,
 )
+from hurstkit.series import _COLUMN_SUM_ROWS
 
 
 # --- loglog_fit -----------------------------------------------------------
@@ -435,3 +436,49 @@ def test_rs_matches_the_per_row_reference(kind, n, n_min):
 )
 def test_rs_matches_the_per_row_reference_property(kind, log_n, n_min, seed):
     _assert_rs_matches_reference(_rs_series(kind, int(math.exp(log_n)), seed), n_min)
+
+
+# --- aggregated variance against its plain per-size form -------------------
+
+
+def _assert_aggvar_matches_reference(values):
+    """est_aggvar's fit equals one built from plain ``chunk.mean(axis=1).var()`` per size."""
+    sizes = []
+
+    def spy(series, m):
+        sizes.append(m)
+        return hk.aggregate(series, m)
+
+    with mock.patch.object(estimators, "aggregate", spy):
+        report = est_aggvar(TimeSeries(values))
+    want = []
+    for m in sizes:
+        k = values.size // m
+        want.append(float(values[: k * m].reshape(k, m).mean(axis=1).var()))
+    want_fit, _ = estimators._block_fit(sizes, want, 10, values.size // 100)  # est_aggvar's default window
+    assert [float(v).hex() for v in report.fit.ys] == [float(v).hex() for v in want_fit.ys]
+    assert report.fit.slope.hex() == want_fit.slope.hex()
+    assert report.hurst.hex() == (1.0 + want_fit.slope / 2.0).hex()
+    return np.array(sizes)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("fgn", 2**17), ("iid", 300_000), ("bytes", 300_000), ("step", 65_536), ("offset", 100_000),
+     ("iid", 1000), ("step", 2_000)],
+)
+def test_aggvar_matches_the_per_size_reference(kind, n):
+    sizes = _assert_aggvar_matches_reference(_rs_series(kind, n, seed=n))
+    if n >= 65_536:  # both row-sum paths ran
+        assert sizes.min() < 16 and sizes.max() >= 16
+        assert (n // sizes[sizes < 16]).min() >= _COLUMN_SUM_ROWS
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["iid", "bytes", "step", "offset"]),
+    log_n=st.floats(math.log(1001), math.log(300_000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggvar_matches_the_per_size_reference_property(kind, log_n, seed):
+    _assert_aggvar_matches_reference(_rs_series(kind, int(math.exp(log_n)), seed))

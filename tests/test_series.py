@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hurstkit as hk
 from hurstkit import TimeSeries, acf, aggregate, read_series, summary_stats, write_series
+from hurstkit.series import _COLUMN_SUM_ROWS, _row_sums
 
 
 def test_summary_stats_constant():
@@ -127,6 +128,41 @@ def test_aggregate_iid_variance_scales_like_one_over_m(iid_big):
 def test_aggregate_block_one_is_identity(values):
     series = TimeSeries(values)
     assert np.array_equal(aggregate(series, 1).values, series.values)
+
+
+def _signed_magnitudes(rng, size):
+    """Values of both signs with magnitudes spread log-uniformly over 1e-8..1e8."""
+    return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-8.0, 8.0, size=size)
+
+
+@given(
+    block=st.integers(1, 40),
+    nblocks=st.sampled_from(
+        [1, 2, 7, _COLUMN_SUM_ROWS - 1, _COLUMN_SUM_ROWS, _COLUMN_SUM_ROWS + 37, 3 * _COLUMN_SUM_ROWS]
+    ),
+    negzero_rows=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(block=7, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
+@example(block=8, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
+@example(block=15, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
+@example(block=16, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_row_sums_equal_numpy_reduce_bitwise(block, nblocks, negzero_rows, seed):
+    rng = np.random.default_rng(seed)
+    chunk = _signed_magnitudes(rng, nblocks * block).reshape(nblocks, block)
+    chunk[rng.integers(0, nblocks, size=negzero_rows)] = -0.0
+    assert _row_sums(chunk).tobytes() == np.add.reduce(chunk, axis=1).tobytes()
+
+
+@given(m=st.integers(1, 64), log_n=st.floats(math.log(64), math.log(70_000)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_aggregate_equals_block_mean_bitwise(m, log_n, seed):
+    # no -0.0 in the values: block 1 returns the series itself, where mean would give +0.0
+    values = _signed_magnitudes(np.random.default_rng(seed), max(m, int(math.exp(log_n))))
+    k = values.size // m
+    want = values[: k * m].reshape(k, m).mean(axis=1)
+    assert aggregate(TimeSeries(values), m).values.tobytes() == want.tobytes()
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=80), st.integers(1, 10))

@@ -123,6 +123,26 @@ def test_bin_bytes_errors():
         bin_bytes(trace_of([(0.0, 1)]), -2.0)
 
 
+@pytest.mark.parametrize(
+    "width, count", [(1e-300, "4e+299"), (5e-324, "inf")], ids=["too-many-to-index", "count-overflows"]
+)
+def test_bin_bytes_refuses_a_bin_count_no_array_can_hold(width, count):
+    with pytest.raises(hk.BadBinWidth) as exc:
+        bin_bytes(trace_of([(0.0, 40), (0.4, 576)]), width)
+    assert str(exc.value) == f"bin width {width!r} cuts the 0.4 s trace into {count} bins, more than an array can index"
+
+
+def test_bin_bytes_refuses_a_bin_count_memory_cannot_hold(monkeypatch):
+    # 4e11 bins would ask for 2.91 TiB; the stand-in fails the way numpy's allocator does
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.91 TiB for an array with shape (400000000000,)")
+
+    monkeypatch.setattr(np, "bincount", no_memory)
+    with pytest.raises(hk.BadBinWidth) as exc:
+        bin_bytes(trace_of([(0.0, 40), (0.4, 576)]), 1e-12)
+    assert str(exc.value) == "bin width 1e-12 cuts the 0.4 s trace into 400000000000 bins, more than memory can hold"
+
+
 def test_interarrival_hand_example():
     series = interarrival_series(trace_of([(0.0, 1), (1.0, 1), (3.0, 1), (6.0, 1)]))
     assert series.values.tolist() == [1.0, 2.0, 3.0]
