@@ -140,9 +140,6 @@ def acf(series: TimeSeries, max_lag: int) -> AcfCurve:
     return AcfCurve(lags=np.arange(max_lag + 1), rho=rho)
 
 
-_COLUMN_SUM_ROWS = 1024  # row count from which _row_sums adds short rows as columns
-
-
 def _row_sums(chunk: np.ndarray) -> np.ndarray:
     """``np.add.reduce(chunk, axis=1)`` of a C-contiguous 2-d float64 array, same bits.
 
@@ -153,8 +150,8 @@ def _row_sums(chunk: np.ndarray) -> np.ndarray:
     first eight, then the tail left to right.  numpy's sum starts from
     +0.0, so a row of -0.0 sums to +0.0 here too.
     """
-    nblocks, block = chunk.shape
-    if block >= 16 or nblocks < _COLUMN_SUM_ROWS:
+    block = chunk.shape[1]
+    if block >= 16:
         return np.add.reduce(chunk, axis=1)
     if block < 8:
         acc = chunk[:, 0] + 0.0

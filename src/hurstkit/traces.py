@@ -248,13 +248,12 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
     idx = ((ts - t0) // bin_width).astype(np.int64)
     keep = idx < nbins
     try:
-        totals = np.bincount(idx[keep], weights=trace._sizes[keep], minlength=nbins)
+        return TimeSeries(np.bincount(idx[keep], weights=trace._sizes[keep], minlength=nbins))
     except MemoryError:
         raise BadBinWidth(
             f"bin width {bin_width!r} cuts the {span!r} s trace into {nbins} bins, "
             "more than memory can hold"
         ) from None
-    return TimeSeries(totals)
 
 
 def interarrival_series(trace: PacketTrace) -> TimeSeries:

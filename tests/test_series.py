@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hurstkit as hk
 from hurstkit import TimeSeries, acf, aggregate, read_series, summary_stats, write_series
-from hurstkit.series import _COLUMN_SUM_ROWS, _row_sums
+from hurstkit.series import _row_sums
 
 
 def test_summary_stats_constant():
@@ -137,16 +137,14 @@ def _signed_magnitudes(rng, size):
 
 @given(
     block=st.integers(1, 40),
-    nblocks=st.sampled_from(
-        [1, 2, 7, _COLUMN_SUM_ROWS - 1, _COLUMN_SUM_ROWS, _COLUMN_SUM_ROWS + 37, 3 * _COLUMN_SUM_ROWS]
-    ),
+    nblocks=st.sampled_from([1, 2, 7, 300, 3072]),
     negzero_rows=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(block=7, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
-@example(block=8, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
-@example(block=15, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
-@example(block=16, nblocks=_COLUMN_SUM_ROWS, negzero_rows=1, seed=0)
+@example(block=7, nblocks=300, negzero_rows=1, seed=0)
+@example(block=8, nblocks=300, negzero_rows=1, seed=0)
+@example(block=15, nblocks=300, negzero_rows=1, seed=0)
+@example(block=16, nblocks=300, negzero_rows=1, seed=0)
 @settings(max_examples=150, deadline=None)
 def test_row_sums_equal_numpy_reduce_bitwise(block, nblocks, negzero_rows, seed):
     rng = np.random.default_rng(seed)

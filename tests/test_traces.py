@@ -132,12 +132,18 @@ def test_bin_bytes_refuses_a_bin_count_no_array_can_hold(width, count):
     assert str(exc.value) == f"bin width {width!r} cuts the 0.4 s trace into {count} bins, more than an array can index"
 
 
-def test_bin_bytes_refuses_a_bin_count_memory_cannot_hold(monkeypatch):
-    # 4e11 bins would ask for 2.91 TiB; the stand-in fails the way numpy's allocator does
+@pytest.mark.parametrize("failing", ["bincount", "series"])
+def test_bin_bytes_refuses_a_bin_count_memory_cannot_hold(monkeypatch, failing):
+    # 4e11 bins would ask for 2.91 TiB; the stand-in fails the way numpy's allocator does,
+    # either in the bin totals themselves or in the series' checks and copy of them
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.91 TiB for an array with shape (400000000000,)")
 
-    monkeypatch.setattr(np, "bincount", no_memory)
+    if failing == "bincount":
+        monkeypatch.setattr(np, "bincount", no_memory)
+    else:
+        monkeypatch.setattr(np, "bincount", lambda *args, **kwargs: np.zeros(4))
+        monkeypatch.setattr(hk.traces, "TimeSeries", no_memory)
     with pytest.raises(hk.BadBinWidth) as exc:
         bin_bytes(trace_of([(0.0, 40), (0.4, 576)]), 1e-12)
     assert str(exc.value) == "bin width 1e-12 cuts the 0.4 s trace into 400000000000 bins, more than memory can hold"
