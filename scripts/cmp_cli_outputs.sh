@@ -6,6 +6,7 @@
 # Runs every subcommand of each checkout (its src/ on PYTHONPATH) into
 # WORKDIR/old and WORKDIR/new, inputs included, then cmp's every file.
 # Prints one line per difference and a count; exits 1 if any file differs.
+# scripts/max_rel_diff.py OLD_FILE NEW_FILE sizes a numeric difference.
 set -e
 [ $# -eq 3 ] || { echo "usage: $0 OLD_CHECKOUT NEW_CHECKOUT WORKDIR" >&2; exit 2; }
 old=$(cd "$1" && pwd); new=$(cd "$2" && pwd); mkdir -p "$3"; work=$(cd "$3" && pwd)
@@ -63,6 +64,13 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
 " > trace.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --out bins.txt
   hk estimate --method all --in bins.txt --out est_all_bins.csv
+  # both detrends on about 1e5 bins, and degree 1 beside the linear detrend
+  hk ingest --trace trace.txt --mode bins --bin-width 0.0001220703125 --out bins_1e5.txt
+  for k in linear poly; do hk filter --kind $k --in bins_1e5.txt --out filter_${k}_bins_1e5.txt; done
+  hk filter --kind poly --degree 1 --in bins_1e5.txt --out filter_poly1_bins_1e5.txt
+  # comment lines send read_series to its line scanner
+  { echo '# comment'; sed -n '1,2000p' fgn.txt; echo '#'; sed -n '2001,$p' fgn.txt; } > fgn_comments.txt
+  hk estimate --method all --in fgn_comments.txt --out est_all_comments.csv
   hk ingest --trace trace.txt --mode interarrival --skip 5 --take 10000 --out gaps.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --skip 3 --take 500 --out bins_window.txt
   printf '2.5 40\n2.5 1500\n2.5 576\n' > same_time.txt

@@ -120,16 +120,17 @@ def loglog_fit(
     ws, xs, ys = w[sl], lx[sl], ly[sl]
     if np.unique(xs).size < 2:
         raise InsufficientPoints("log-log fit needs at least two distinct abscissae")
+    # np.add.reduce, not ``@``: BLAS splits long dot products by thread count
     s0 = ws.sum()
-    sx = float(ws @ xs)
-    sy = float(ws @ ys)
-    sxx = float(ws @ (xs * xs))
-    sxy = float(ws @ (xs * ys))
+    sx = float(np.add.reduce(ws * xs))
+    sy = float(np.add.reduce(ws * ys))
+    sxx = float(np.add.reduce(ws * (xs * xs)))
+    sxy = float(np.add.reduce(ws * (xs * ys)))
     delta = s0 * sxx - sx * sx
     slope = (s0 * sxy - sx * sy) / delta
     intercept = (sy - slope * sx) / s0
     resid = ys - (intercept + slope * xs)
-    mse = float(ws @ (resid * resid)) / (npts - 2)
+    mse = float(np.add.reduce(ws * (resid * resid))) / (npts - 2)
     slope_se = math.sqrt(max(mse, 0.0) * s0 / delta)
     return LogLogFit(
         xs=lx,

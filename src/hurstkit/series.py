@@ -6,18 +6,27 @@ real values; the array index is the time coordinate.  All statistics use
 the population convention (denominator ``N``) and the autocorrelation
 estimator is the biased one (denominator ``N`` at every lag), which keeps
 ``|rho(k)| <= 1`` and the estimated sequence positive semi-definite.
+
+Series text and packet-trace text share one reader, :func:`_parse_text`:
+the input is read once, NumPy's C text reader tries it first, and a
+line scanner that names the offending line reads whatever that reader
+refuses.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from .errors import BadBlock, DegenerateSeries, LagOutOfRange, MalformedLine, SeriesTooShort
+
+T = TypeVar("T")
 
 __all__ = [
     "TimeSeries",
@@ -182,16 +191,74 @@ def aggregate(series: TimeSeries, block: int) -> TimeSeries:
     return TimeSeries(means)
 
 
+_WRITE_SLICE = 1 << 16  # values formatted per write: bounded memory at any length
+_VALUE = np.dtype([("v", np.float64)])  # one field, so a line of two values is refused
+# a byte that is not whitespace to both NumPy's reader and str.split()
+_DATA_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
+
+
 def write_series(series: TimeSeries, stream: IO[str]) -> None:
     """Write one value per line in plain decimal text (round-trip exact)."""
-    for v in series.values:
-        stream.write(f"{float(v)!r}\n")
+    values = series.values
+    for start in range(0, values.size, _WRITE_SLICE):
+        stream.write("".join(f"{v!r}\n" for v in values[start : start + _WRITE_SLICE].tolist()))
 
 
-def read_series(stream: Iterable[str]) -> TimeSeries:
-    """Read the one-value-per-line format; '#' comments and blanks allowed."""
+def _loadtxt(buf: bytes, dtype: np.dtype) -> np.ndarray | None:
+    """One record of ``dtype`` per line of ``buf`` by NumPy's C text reader,
+    or None where a line scanner must decide: the reader refuses the text,
+    or the text holds no data."""
+    if _DATA_BYTE.search(buf) is None:
+        return None  # loadtxt would warn about empty input
+    try:
+        return np.loadtxt(io.BytesIO(buf), dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _parse_text(
+    lines: Iterable[str], load: Callable[[bytes], T | None], scan: Callable[[list[str]], T]
+) -> T:
+    """``load`` the text of ``lines`` encoded as ASCII; where it is not ASCII
+    or ``load`` returns None, ``scan`` its lines instead.
+
+    ``lines`` is read once: a text stream whole, or an iterable of lines
+    with or without their newline.  ``scan`` is the reference for what a
+    format accepts and the only source of diagnostics; ``load`` is the
+    fast path, which returns None for any text it cannot read exactly as
+    ``scan`` would.
+    """
+    read = getattr(lines, "read", None)
+    if read is not None:
+        text = read()
+    else:
+        text = "\n".join(line.removesuffix("\n") for line in lines)
+    try:
+        buf = text.encode("ascii")
+    except UnicodeEncodeError:
+        return scan(text.split("\n"))
+    del text  # keep one copy of the characters alive, not two
+    parsed = load(buf)
+    if parsed is None:
+        return scan(buf.decode("ascii").split("\n"))
+    return parsed
+
+
+def _load_values(buf: bytes) -> TimeSeries | None:
+    """The series via NumPy's C reader, or None if the scanner must decide."""
+    table = _loadtxt(buf, _VALUE)
+    if table is None:
+        return None
+    try:
+        return TimeSeries(table["v"])
+    except ValueError:
+        return None
+
+
+def _scan_values(lines: Iterable[str]) -> TimeSeries:
+    """Reference line-by-line parse, raising on the first bad line."""
     values: list[float] = []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -203,3 +270,13 @@ def read_series(stream: Iterable[str]) -> TimeSeries:
         return TimeSeries(values)
     except ValueError as exc:
         raise MalformedLine(str(exc)) from None
+
+
+def read_series(stream: Iterable[str]) -> TimeSeries:
+    """Read the one-value-per-line format; '#' comments and blanks allowed.
+
+    The text goes through NumPy's C reader when it can; comment lines,
+    ``1_000``, non-ASCII digits and every error take the line scanner,
+    whose diagnostics name the line.
+    """
+    return _parse_text(stream, _load_values, _scan_values)

@@ -24,9 +24,7 @@ column it always did; inputs only the scanner accepts (comment lines,
 
 from __future__ import annotations
 
-import io
 import math
-import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -39,7 +37,7 @@ from .errors import (
     NonMonotoneTimestamp,
     TooFewRecords,
 )
-from .series import TimeSeries
+from .series import TimeSeries, _loadtxt, _parse_text
 
 __all__ = [
     "PacketRecord",
@@ -53,8 +51,6 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_BINS = int(np.iinfo(np.intp).max) // 8  # float64 bins whose byte count fits in intp
 _COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
-# a byte that is not whitespace to both NumPy's reader and str.split()
-_DATA_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
 
 
 @dataclass(frozen=True)
@@ -182,10 +178,10 @@ def _scan(lines: Iterable[str]) -> tuple[list[float], list[int]]:
 
 def _load_trace(buf: bytes, source: str) -> PacketTrace | None:
     """The trace via NumPy's C reader, or None if the scanner must decide."""
-    if _DATA_BYTE.search(buf) is None:
-        return None  # loadtxt would warn about empty input
+    table = _loadtxt(buf, _COLUMNS)
+    if table is None:
+        return None
     try:
-        table = np.loadtxt(io.BytesIO(buf), dtype=_COLUMNS, comments=None, ndmin=1)
         return PacketTrace(table["t"], table["s"], source=source)
     except (ValueError, NonMonotoneTimestamp):
         return None
@@ -197,20 +193,11 @@ def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
     ``lines`` is a text stream, or an iterable of lines with or without
     their newline.
     """
-    read = getattr(lines, "read", None)
-    if read is not None:
-        text = read()
-    else:
-        text = "\n".join(line.removesuffix("\n") for line in lines)
-    try:
-        buf = text.encode("ascii")
-    except UnicodeEncodeError:
-        return PacketTrace(*_scan(text.split("\n")), source=source)
-    del text  # keep one copy of the characters alive, not two
-    trace = _load_trace(buf, source)
-    if trace is None:
-        return PacketTrace(*_scan(buf.decode("ascii").split("\n")), source=source)
-    return trace
+    return _parse_text(
+        lines,
+        lambda buf: _load_trace(buf, source),
+        lambda scanned: PacketTrace(*_scan(scanned), source=source),
+    )
 
 
 def serialize_packet_trace(trace: PacketTrace, stream: IO[str]) -> None:

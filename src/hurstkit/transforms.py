@@ -6,14 +6,19 @@ population standard deviation equals the input's exactly: AR(1) noise
 (10 by default, zero phase at t = 0), or a zero-mean linear ramp.
 
 Filters are the elementwise natural log (positive data only), ordinary
-least-squares linear detrending, and removal of a least-squares
-polynomial (degree 10 by default) fitted in a Chebyshev basis on the
-rescaled axis u = 2t/(N-1) - 1; raw-power fitting on t = 0..N-1 is
-hopelessly ill-conditioned at realistic lengths.
+least-squares linear detrending, and removal of the least-squares
+polynomial of a given degree (10 by default).  Both detrends project the
+series off the discrete orthonormal polynomials of the grid
+u = linspace(-1, 1, N), built by the Stieltjes three-term recurrence
+(Forsythe 1957); raw-power fitting on t = 0..N-1 is hopelessly
+ill-conditioned at realistic lengths.  Every inner product is an
+elementwise product summed by ``np.add.reduce``, so no BLAS call runs
+and the output bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,33 +133,60 @@ def filter_log(series: TimeSeries) -> TimeSeries:
     return TimeSeries(np.log(v))
 
 
+def _detrend(values: np.ndarray, degree: int) -> np.ndarray:
+    """``values`` minus its least-squares polynomial of ``degree`` (constant term included).
+
+    p_0..p_degree are the orthonormal polynomials of the grid
+    u = linspace(-1, 1, N) from the three-term recurrence
+    p_{k+1} ~ (u - a_k) p_k - b_k p_{k-1}; each projection is taken off
+    the running residual as soon as its polynomial is built (modified
+    Gram-Schmidt order).  Needs N > degree.
+    """
+    n = values.size
+    u = np.linspace(-1.0, 1.0, n)
+    p = np.full(n, 1.0 / math.sqrt(n))
+    scratch = np.empty(n)  # every product lands here: no N-point temporaries
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.add.reduce(np.multiply(a, b, out=scratch)))
+
+    def sub(y: np.ndarray, c: float, x: np.ndarray) -> None:  # y -= c * x
+        y -= np.multiply(x, c, out=scratch)
+
+    resid = values - dot(values, p) * p
+    prev, b = None, 0.0
+    for _ in range(degree):
+        q = u * p
+        sub(q, dot(q, p), p)
+        if prev is not None:
+            sub(q, b, prev)
+        b = math.sqrt(dot(q, q))
+        q /= b
+        prev, p = p, q
+        sub(resid, dot(resid, p), p)
+    return resid
+
+
 def filter_linear_detrend(series: TimeSeries) -> TimeSeries:
     """Subtract the OLS best-fit line over t = 0..N-1 (removes the mean too)."""
     n = len(series)
     if n < 2:
         raise SeriesTooShort("linear detrending needs N >= 2")
-    t = np.arange(n, dtype=np.float64)
-    t -= t.mean()
-    y = series.values
-    ybar = y.mean()
-    slope = float(t @ (y - ybar)) / float(t @ t)
-    return TimeSeries(y - ybar - slope * t)
+    return TimeSeries(_detrend(series.values, 1))
 
 
 def filter_poly_detrend(series: TimeSeries, degree: int = 10) -> TimeSeries:
     """Subtract the least-squares polynomial of the given degree.
 
-    The fit runs in a Chebyshev basis on u = 2t/(N-1) - 1; the output is
-    basis-independent (the unique L2 best fit, constant term included).
+    The output is the unique L2 best fit's residual, constant term
+    included, whatever the basis; it is computed by :func:`_detrend`.
     """
     n = len(series)
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if n < degree + 2:
         raise SeriesTooShort(f"polynomial removal of degree {degree} needs N >= {degree + 2}")
-    t = np.arange(n, dtype=np.float64)
-    fit = np.polynomial.Chebyshev.fit(t, series.values, degree)
-    return TimeSeries(series.values - fit(t))
+    return TimeSeries(_detrend(series.values, degree))
 
 
 def apply_filter(series: TimeSeries, kind: FilterKind) -> TimeSeries:

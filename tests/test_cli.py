@@ -269,6 +269,19 @@ def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+def test_non_ascii_byte_is_reported_at_its_file_offset(tmp_path, capsys):
+    # the series file is read whole, so the offset counts from the file's
+    # start, not from the start of the 8 KiB chunk that held the byte
+    text = "".join(f"{i}.5\n" for i in range(3000)).encode("ascii")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text[:10000] + b"\xe9" + text[10000:])
+    assert run_cli("estimate", "--method", "rs", "--in", str(bad)) == 2
+    assert capsys.readouterr().err == (
+        "hurstkit: error: 'ascii' codec can't decode byte 0xe9 in position 10000: "
+        "ordinal not in range(128)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import hurstkit as hk
 from hurstkit import TimeSeries, acf, aggregate, read_series, summary_stats, write_series
-from hurstkit.series import _row_sums
+from hurstkit.series import _load_values, _row_sums, _scan_values
 
 
 def test_summary_stats_constant():
@@ -200,3 +201,86 @@ def test_series_text_round_trip_is_bit_exact(values):
 def test_read_series_reports_bad_line():
     with pytest.raises(hk.MalformedLine, match="line 2"):
         read_series(io.StringIO("1.5\nnot-a-number\n"))
+
+
+def test_write_series_slices_keep_bytes_and_write_nothing_when_empty():
+    values = np.random.default_rng(2).standard_normal((1 << 16) + 3) * 1e3
+    buf = io.StringIO()
+    write_series(TimeSeries(values), buf)
+    assert buf.getvalue() == "".join(f"{float(v)!r}\n" for v in values)
+    empty = io.StringIO()
+    write_series(TimeSeries([]), empty)
+    assert empty.getvalue() == ""
+
+
+# --- read_series: NumPy's C reader against the line scanner -----------------
+
+
+def _series_outcome(parse, text):
+    try:
+        return parse(text).values.tobytes()
+    except hk.HurstkitError as exc:
+        return (type(exc), str(exc))
+
+
+def _by_series_scanner(text):
+    return _scan_values(text.split("\n"))
+
+
+def _check_fast_path_agrees(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on input with no data
+        want = _series_outcome(_by_series_scanner, text)
+        assert _series_outcome(lambda t: read_series(io.StringIO(t)), text) == want
+        assert _series_outcome(lambda t: read_series(io.StringIO(t).readlines()), text) == want
+        if text.isascii():
+            fast = _load_values(text.encode("ascii"))
+            assert fast is None or fast.values.tobytes() == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n  \n",
+        "1.5\n\n  \n-2.5\n",
+        "# head\n1.5\n#\n2.5\n",
+        "1.0 # x\n",
+        "1_000\n",
+        "nan\n",
+        "1.0\ninf\n",
+        "1e400\n",
+        "1 2\n",
+        "1\n2 3\n",
+        "1 2\n3 4\n",
+        "1.5\r\n2.5\r\n",
+        "1.5\r2.5\r",
+        "7",
+        " +.5e1 \t\n",
+        "0x10\n",
+        "1,5\n",
+        "1.5\x0b\n\x1c\n",
+        "\u0663\n",
+        "-0.0\n5e-324\n",
+    ],
+)
+def test_read_series_fast_path_matches_scanner(text):
+    _check_fast_path_agrees(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789.-+_eEnaif #x\t\r\n\x0b\x1c", max_size=40))
+def test_read_series_fast_path_never_disagrees_with_scanner(text):
+    _check_fast_path_agrees(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS, max_size=40),
+       st.sampled_from(["\n", "\r\n"]))
+def test_read_series_fast_path_reads_written_values(values, newline):
+    buf = io.StringIO()
+    write_series(TimeSeries(values), buf)
+    text = buf.getvalue().replace("\n", newline)
+    fast = _load_values(text.encode("ascii"))
+    assert fast is not None if values else fast is None
+    _check_fast_path_agrees(text)

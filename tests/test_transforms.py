@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hurstkit import (
     filter_log,
     filter_poly_detrend,
 )
+from hurstkit.transforms import _detrend
 
 
 @pytest.fixture()
@@ -145,7 +147,7 @@ def test_poly_degree_one_matches_linear_detrend():
     series = TimeSeries(rng.standard_normal(800) + 0.02 * np.arange(800))
     a = filter_poly_detrend(series, degree=1).values
     b = filter_linear_detrend(series).values
-    np.testing.assert_allclose(a, b, atol=1e-9)
+    assert np.array_equal(a, b)
 
 
 def test_poly_residual_orthogonal_to_basis():
@@ -164,6 +166,70 @@ def test_poly_residual_mean_vanishes():
     rng = np.random.default_rng(41)
     resid = filter_poly_detrend(TimeSeries(rng.standard_normal(2000)), degree=10).values
     assert abs(resid.mean()) < 1e-10
+
+
+# --- the shared detrend -----------------------------------------------------
+#
+# On an equispaced grid the least-squares polynomial is well conditioned
+# only up to a degree of order sqrt(N): beyond it, any two float64
+# computations of the fit drift apart (at N = 100, degree 60, _detrend and
+# Chebyshev.fit each differ from a 60-digit reference by about 1e-9 of
+# max|y|).  The comparisons with Chebyshev.fit therefore stay at degree
+# <= 2 sqrt(N); removing an exact polynomial holds at every degree.
+
+
+@st.composite
+def _detrend_case(draw, max_n=2000, full_degree=False):
+    n = draw(st.integers(3, max_n))
+    top = n - 2 if full_degree else max(1, min(n - 2, int(2 * math.sqrt(n))))
+    degree = draw(st.integers(1, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3]))
+    return n, degree, rng, (rng.standard_normal(n) + offset) * scale
+
+
+@given(_detrend_case(max_n=400, full_degree=True))
+@settings(max_examples=80, deadline=None)
+def test_detrend_removes_polynomials_of_its_degree(case):
+    n, degree, rng, _ = case
+    coeffs = rng.standard_normal(rng.integers(1, degree + 2)) * 10.0 ** rng.uniform(-3, 3)
+    y = np.polynomial.chebyshev.chebval(np.linspace(-1.0, 1.0, n), coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _detrend(y, degree)
+    assert np.max(np.abs(out)) <= 1e-12 * np.max(np.abs(y))
+
+
+@given(_detrend_case())
+@settings(max_examples=80, deadline=None)
+def test_detrend_matches_chebyshev_fit(case):
+    n, degree, _, y = case
+    t = np.arange(n, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        want = y - np.polynomial.Chebyshev.fit(t, y, degree)(t)
+    assert np.max(np.abs(_detrend(y, degree) - want)) <= 1e-12 * np.max(np.abs(y))
+
+
+@given(_detrend_case(), st.floats(-1e3, 1e3).filter(lambda a: abs(a) > 1e-3))
+@settings(max_examples=80, deadline=None)
+def test_detrend_is_affine_equivariant(case, a):
+    n, degree, rng, y = case
+    coeffs = rng.standard_normal(degree + 1) * np.max(np.abs(y)) * abs(a)
+    z = a * y + np.polynomial.chebyshev.chebval(np.linspace(-1.0, 1.0, n), coeffs)
+    got = _detrend(z, degree)
+    assert np.max(np.abs(got - a * _detrend(y, degree))) <= 1e-12 * np.max(np.abs(z))
+
+
+@given(_detrend_case())
+@settings(max_examples=80, deadline=None)
+def test_detrend_residual_orthogonal_to_chebyshev_columns(case):
+    n, degree, _, y = case
+    resid = _detrend(y, degree)
+    basis = np.polynomial.chebyshev.chebvander(np.linspace(-1.0, 1.0, n), degree)
+    for col in basis.T:
+        assert abs(np.add.reduce(col * resid)) <= 1e-12 * np.linalg.norm(col) * np.linalg.norm(y)
 
 
 def test_poly_too_short():
