@@ -64,6 +64,21 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
 " > trace.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --out bins.txt
   hk estimate --method all --in bins.txt --out est_all_bins.csv
+  # each trace reader end to end: CRLF lines go to NumPy's C reader, comment
+  # lines to the line scanner, and Unix-epoch timestamps (10-digit integer
+  # parts, up to 17 digits in all) to the plain-decimal kernel near its limit
+  sed 's/$/\r/' trace.txt > trace_crlf.txt
+  { echo '# packets'; sed -n '1,10000p' trace.txt; echo '#'; sed -n '10001,$p' trace.txt; } > trace_comments.txt
+  python3 -c "
+import numpy as np
+rng = np.random.default_rng(2)
+t = 1.16e9 + np.cumsum(np.floor(273 * (1 + rng.pareto(1.5, 20000)))) * 2.0**-20
+s = rng.choice([40, 576, 1500], size=20000)
+print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
+" > trace_epoch.txt
+  for f in trace_crlf trace_comments trace_epoch; do
+    hk ingest --trace $f.txt --mode bins --bin-width 0.0078125 --out bins_$f.txt
+  done
   # both detrends on about 1e5 bins, and degree 1 beside the linear detrend
   hk ingest --trace trace.txt --mode bins --bin-width 0.0001220703125 --out bins_1e5.txt
   for k in linear poly; do hk filter --kind $k --in bins_1e5.txt --out filter_${k}_bins_1e5.txt; done

@@ -12,19 +12,37 @@ traffic).
 A :class:`PacketTrace` is columnar: one read-only float64 array of
 timestamps and one read-only int64 array of sizes, with no per-packet
 Python objects.  :func:`parse_packet_trace` reads its input once into a
-buffer and hands it to NumPy's C text reader.  Whenever that reader
-rejects the text, or :class:`PacketTrace` refuses its columns (a
-timestamp that is not finite or decreases, a negative size), or the
-text is empty or not ASCII, the same buffer is parsed again by the
-line-by-line scanner ``_scan``.  The scanner is the reference for what the format accepts and
-the only source of diagnostics, so every error names the line and
-column it always did; inputs only the scanner accepts (comment lines,
-``1_000``, non-ASCII digits) still parse, just at the scanner's speed.
+buffer and tries three readers on it, each only where the one before
+declines:
+
+1. ``_decimal_columns``, a numpy-only kernel for the common shape, every
+   line ``D+ "." D+ " " D+ "\n"`` with at most 18 digits in the
+   timestamp and 18 in the size (the last newline optional).  It reads
+   8 digits per 64-bit word and forms each timestamp's digits as an
+   integer m < 10**18 and its fraction length k.  Both m and 10**k are
+   exact in the x87 extended format (64-bit significand), so the
+   quotient m / 10**k is rounded once, to 64 bits, and converting it to
+   float64 rounds a second time.  Two roundings agree with one unless
+   the first lands exactly on a float64 midpoint, whose last 11
+   significand bits read 0b10000000000; those rows are read again with
+   ``float()``.  Where longdouble is not that format the kernel declines
+   every input.
+2. NumPy's C text reader, for any other text it accepts.
+3. The line-by-line scanner ``_scan``, for the rest: text the readers
+   above refuse, text :class:`PacketTrace` refuses from them (a
+   timestamp that is not finite or decreases, a negative size), empty
+   text and text that is not ASCII.
+
+The scanner is the reference for what the format accepts and the only
+source of diagnostics, so every error names the line and column it
+always did; inputs only the scanner accepts (comment lines, ``1_000``,
+non-ASCII digits) still parse, just at the scanner's speed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -37,7 +55,7 @@ from .errors import (
     NonMonotoneTimestamp,
     TooFewRecords,
 )
-from .series import TimeSeries, _loadtxt, _parse_text
+from .series import _WRITE_SLICE, TimeSeries, _loadtxt, _parse_text
 
 __all__ = [
     "PacketRecord",
@@ -51,6 +69,30 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_BINS = int(np.iinfo(np.intp).max) // 8  # float64 bins whose byte count fits in intp
 _COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
+
+# The plain-decimal kernel reads the text in windows cut at a newline, each
+# copied behind a pad so that every digit word it loads lies in its copy.
+_WINDOW = 1 << 20  # bytes
+_PAD = 8
+_MAX_DIGITS = 18  # 10**18 < 2**63: every field is exact in uint64 and int64
+_SEPARATORS = np.frombuffer(b". \n", np.uint8)
+# x87 extended precision, stored little-endian: the midpoint test reads its bits
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+_POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
+_POW10_LD = _POW10.astype(np.longdouble)
+
+
+def _digit_mask(digits: int) -> int:
+    """Low nibbles of the top ``digits`` bytes of a little-endian word."""
+    return (0x0F0F0F0F0F0F0F0F << 8 * (8 - digits)) & 0xFFFFFFFFFFFFFFFF
+
+
+# _KEEP[k][n]: the bytes of word k (k = 0 ends at the last digit) that hold
+# digits of an n-digit field
+_KEEP = np.array(
+    [[_digit_mask(min(max(n - 8 * k, 0), 8)) for n in range(_MAX_DIGITS + 1)] for k in range(3)],
+    dtype=np.uint64,
+)
 
 
 @dataclass(frozen=True)
@@ -176,13 +218,107 @@ def _scan(lines: Iterable[str]) -> tuple[list[float], list[int]]:
     return timestamps, sizes
 
 
-def _load_trace(buf: bytes, source: str) -> PacketTrace | None:
-    """The trace via NumPy's C reader, or None if the scanner must decide."""
-    table = _loadtxt(buf, _COLUMNS)
-    if table is None:
+def _swar8(words: np.ndarray) -> np.ndarray:
+    """Each word's eight digit values, most significant in the low byte, as
+    one number (in place): pairs, then quads, then all eight."""
+    words *= 10 << 8 | 1
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 << 16 | 1
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10000 << 32 | 1
+    words >>= 32
+    return words
+
+
+def _field(words: np.ndarray, end: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The values of the digit fields that end just before ``end``.
+
+    ``words[i]`` is the little-endian word of bytes i to i + 7, so the word
+    ending at ``end`` holds a field's last 8 digits.  A word wholly before a
+    short field may start before the copy; its negative index wraps to the
+    copy's tail, and ``_KEEP`` zeroes all of it.
+    """
+    value = 0
+    for k in range(-(-int(digits.max()) // 8)):
+        word = words[end - 8 * (k + 1)]
+        word &= _KEEP[k][digits]
+        _swar8(word)
+        if k:
+            word *= 10 ** (8 * k)
+        value += word
+    return value
+
+
+def _decimal_columns(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Timestamps and sizes of text whose every line is ``D+ "." D+ " " D+``
+    (at most 18 digits per number, the last newline optional), exactly as
+    ``float()`` and ``int()`` read them; None for any other text."""
+    if not _EXTENDED or not buf:
         return None
+    text = np.frombuffer(buf, np.uint8)
+    rows = sum(int(np.count_nonzero(text[i : i + _WINDOW] == 10)) for i in range(0, text.size, _WINDOW))
+    rows += not buf.endswith(b"\n")
+    timestamps = np.empty(rows, np.float64)
+    sizes = np.empty(rows, np.int64)
+    copy = np.zeros(_PAD + _WINDOW + 1, np.uint8)  # + the newline a last line may lack
+    words = np.ndarray(buffer=copy, dtype="<u8", shape=(copy.size - 7,), strides=(1,))
+    start = row = 0
+    while start < text.size:
+        stop = start + _WINDOW
+        if stop < text.size:
+            stop = buf.rfind(b"\n", start, stop) + 1
+            if stop <= start:
+                return None  # a line longer than a window
+        else:
+            stop = text.size
+        n = stop - start
+        copy[_PAD : _PAD + n] = text[start:stop]
+        if text[stop - 1] != 10:
+            copy[_PAD + n] = 10
+            n += 1
+        window = copy[_PAD : _PAD + n]
+        if (window > 57).any():
+            return None
+        at = np.flatnonzero(window < 48)
+        if at.size % 3 or (window[at].reshape(-1, 3) != _SEPARATORS).any():
+            return None
+        lengths = np.diff(at, prepend=-1).reshape(-1, 3)
+        lengths -= 1
+        whole, frac, size = lengths.T
+        if lengths.min() < 1 or (whole + frac).max() > _MAX_DIGITS or size.max() > _MAX_DIGITS:
+            return None
+        at += _PAD
+        dot, space, newline = at.reshape(-1, 3).T
+        mantissa = _field(words, dot, whole)
+        mantissa *= _POW10[frac]
+        mantissa += _field(words, space, frac)
+        quotient = mantissa.astype(np.longdouble)
+        quotient /= _POW10_LD[frac]
+        end = row + dot.size
+        timestamps[row:end] = quotient
+        sizes[row:end] = _field(words, newline, size)
+        # quotients on a float64 midpoint, where the second rounding may err
+        low = np.ndarray(buffer=quotient, dtype="<u2", shape=quotient.shape, strides=(quotient.itemsize,))
+        for i in np.flatnonzero((low & 0x7FF) == 0x400).tolist():
+            timestamps[row + i] = float(copy[dot[i] - whole[i] : space[i]].tobytes())
+        row = end
+        start = stop
+    return timestamps, sizes
+
+
+def _load_trace(buf: bytes, source: str) -> PacketTrace | None:
+    """The trace via the plain-decimal kernel or NumPy's C reader, or None
+    if the scanner must decide."""
+    columns = _decimal_columns(buf)
+    if columns is None:
+        table = _loadtxt(buf, _COLUMNS)
+        if table is None:
+            return None
+        columns = table["t"], table["s"]
     try:
-        return PacketTrace(table["t"], table["s"], source=source)
+        return PacketTrace(*columns, source=source)
     except (ValueError, NonMonotoneTimestamp):
         return None
 
@@ -202,8 +338,10 @@ def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
 
 def serialize_packet_trace(trace: PacketTrace, stream: IO[str]) -> None:
     """Write the two-column format; parse -> serialize -> parse is identity."""
-    for ts, size in zip(trace._timestamps.tolist(), trace._sizes.tolist()):
-        stream.write(f"{ts!r} {size}\n")
+    for start in range(0, len(trace), _WRITE_SLICE):
+        stop = start + _WRITE_SLICE
+        pairs = zip(trace._timestamps[start:stop].tolist(), trace._sizes[start:stop].tolist())
+        stream.write("".join(f"{ts!r} {size}\n" for ts, size in pairs))
 
 
 def check_bin_width(bin_width: float) -> None:

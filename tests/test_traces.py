@@ -1,4 +1,7 @@
 import io
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from hurstkit import (
     parse_packet_trace,
     serialize_packet_trace,
 )
-from hurstkit.traces import _load_trace, _scan
+from hurstkit import traces
+from hurstkit.traces import _decimal_columns, _load_trace, _scan
 
 
 def trace_of(pairs, source="t"):
@@ -330,3 +334,175 @@ def test_serialize_parse_round_trip(packets):
     back = parse_packet_trace(io.StringIO(buf.getvalue()))
     assert back.timestamps.tobytes() == trace.timestamps.tobytes()
     assert back.records == trace.records
+
+
+def test_serialize_formats_in_slices_with_the_same_bytes():
+    for count in ((1 << 16) - 1, 1 << 16, (1 << 16) + 1):
+        times = np.cumsum(np.random.default_rng(count).random(count))
+        trace = PacketTrace(times, np.arange(count) % 1501)
+        buf = io.StringIO()
+        serialize_packet_trace(trace, buf)
+        assert buf.getvalue() == "".join(f"{t!r} {i % 1501}\n" for i, t in enumerate(times.tolist()))
+
+
+# --- the plain-decimal kernel against the line scanner ----------------------
+
+
+def _by_kernel(text):
+    columns = _decimal_columns(text.encode("ascii"))
+    return None if columns is None else _exact(*columns)
+
+
+def _check_kernel(text, must_read=True):
+    """The kernel returns None or the scanner's exact columns; where it reads
+    the text, so does the parser."""
+    got = _by_kernel(text)
+    if got is None:
+        assert not must_read, text[:200]
+        return
+    want = _outcome(_by_scanner, text)
+    assert got == want
+    assert _outcome(_by_parser, text) == want
+
+
+def _lines(timestamps, sizes):
+    """Trace text with the timestamp strings in value order."""
+    pairs = sorted(zip(timestamps, sizes), key=lambda pair: float(pair[0]))
+    return "".join(f"{t} {s}\n" for t, s in pairs)
+
+
+def _digits(rnd, count):
+    return "".join(rnd.choice("0123456789") for _ in range(count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+            st.integers(0, 10**18 - 1),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_kernel_reads_repr_floats_as_the_scanner_does(packets):
+    packets = [(t, s) for t, s in packets if "e" not in t]
+    if packets:
+        _check_kernel(_lines(*zip(*packets)), must_read=all(len(t) <= 19 for t, _ in packets))
+
+
+def test_kernel_reads_every_digit_count_and_dot_position():
+    rnd = random.Random(12)
+    stamps, sizes = [], []
+    for total in range(2, 19):
+        for dot in range(1, total):
+            for _ in range(8):
+                digits = _digits(rnd, total)
+                stamps.append(f"{digits[:dot]}.{digits[dot:]}")
+                sizes.append(_digits(rnd, rnd.randint(1, 18)))
+    _check_kernel(_lines(stamps, sizes))
+
+
+def _near_midpoints(count, seed):
+    """18-digit decimals within a quarter of a 64-bit ulp of a float64
+    midpoint: the quotient rounds to the midpoint first, then to even."""
+    rnd = random.Random(seed)
+    found = []
+    while len(found) < count:
+        value = rnd.uniform(0.0, 10.0 ** rnd.randint(0, 12))
+        ulp = Fraction(2) ** (math.frexp(value)[1] - 53)
+        midpoint = Fraction(value) + ulp / 2
+        frac = 18 - len(str(int(midpoint)))
+        scaled = round(midpoint * 10**frac)
+        if abs(Fraction(scaled, 10**frac) - midpoint) * 2**13 < ulp:
+            digits = str(scaled).rjust(frac + 1, "0")
+            found.append(f"{digits[:-frac]}.{digits[-frac:]}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [
+        ["9007199254740993.0", "18014398509481986.0", "18014398509481990.0"],
+        ["4503599627370496.5", "4503599627370497.5", "0.50000000000000005"],
+        _near_midpoints(60, 3),
+    ],
+)
+def test_kernel_rounds_float64_midpoints_as_float_does(stamps):
+    _check_kernel(_lines(stamps, range(len(stamps))))
+
+
+@pytest.mark.parametrize(
+    "text, read",
+    [
+        ("123456789.123456789 1\n", True),
+        ("0.5 999999999999999999\n", True),
+        ("00000000000000000.1 000000000000000001\n", True),
+        ("1234567890.123456789 1\n", False),
+        ("0.5 1000000000000000000\n", False),
+        ("0.5 9223372036854775807\n", False),
+        ("0.5 64\n0.75 32", True),
+        ("0.5 64", True),
+        ("7.0 0\n", True),
+        ("", False),
+        ("0.5 64\r\n0.75 32\r\n", False),
+        ("# h\n0.5 64\n", False),
+        ("0.5 64\n\n0.75 32\n", False),
+        ("+0.5 64\n", False),
+        ("0.5 +64\n", False),
+        ("0.5 -4\n", False),
+        ("1e-05 64\n", False),
+        ("5 64\n", False),
+        (".5 64\n", False),
+        ("5. 64\n", False),
+        ("0.5  64\n", False),
+        ("0.5\t64\n", False),
+        ("0.5 64 \n", False),
+        ("0..5 64\n", False),
+        ("0.5 6.4\n", False),
+    ],
+)
+def test_kernel_reads_only_its_grammar(text, read):
+    got = _by_kernel(text)
+    assert (got is not None) == read
+    if got is not None:
+        assert got == _outcome(_by_scanner, text)
+    assert _outcome(_by_parser, text) == _outcome(_by_scanner, text)
+
+
+@pytest.mark.parametrize("window", [40, 41, 47, 64, 100])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_kernel_windows_cut_anywhere(monkeypatch, window, final_newline):
+    monkeypatch.setattr(traces, "_WINDOW", window)
+    rnd = random.Random(window)
+    stamps = [f"{_digits(rnd, rnd.randint(1, 9))}.{_digits(rnd, rnd.randint(1, 9))}" for _ in range(200)]
+    text = _lines(stamps, [_digits(rnd, rnd.randint(1, 18)) for _ in stamps])
+    _check_kernel(text if final_newline else text[:-1])
+    _check_kernel("0.25 1\n" if final_newline else "0.25 1")
+
+
+def test_kernel_refuses_a_line_longer_than_a_window(monkeypatch):
+    monkeypatch.setattr(traces, "_WINDOW", 16)
+    assert _by_kernel("0.5 64\n123456789.123456789 1\n") is None
+
+
+def test_kernel_reads_a_synthetic_trace_exactly():
+    rng = np.random.default_rng(11)
+    ticks = (1 << 19) + np.cumsum(np.floor(273 * (1 + rng.pareto(1.5, 20000))))
+    epoch = 1.16e9 + ticks * 2.0**-20
+    for seconds in (ticks * 2.0**-20, epoch, np.round(epoch, 6)):
+        text = "".join(f"{t!r} {s}\n" for t, s in zip(seconds.tolist(), rng.choice([40, 576, 1500], 20000).tolist()))
+        _check_kernel(text)
+
+
+def test_trace_without_the_extended_format_parses_the_same(monkeypatch):
+    rnd = random.Random(4)
+    stamps = [f"{_digits(rnd, 3)}.{_digits(rnd, rnd.randint(1, 15))}" for _ in range(500)] + _near_midpoints(20, 5)
+    text = _lines(stamps, [_digits(rnd, 4) for _ in stamps])
+    fast = parse_packet_trace(io.StringIO(text))
+    monkeypatch.setattr(traces, "_EXTENDED", False)
+    assert _by_kernel(text) is None
+    slow = parse_packet_trace(io.StringIO(text))
+    assert slow.timestamps.tobytes() == fast.timestamps.tobytes()
+    assert slow.records == fast.records
