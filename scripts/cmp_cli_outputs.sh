@@ -79,6 +79,19 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
   for f in trace_crlf trace_comments trace_epoch; do
     hk ingest --trace $f.txt --mode bins --bin-width 0.0078125 --out bins_$f.txt
   done
+  # bin indices are floor(d / w), re-taken as d // w where d / w rounds onto a
+  # whole number: non-power-of-two widths, and timestamps on decimal bin edges
+  for w in 0.01 0.003; do hk ingest --trace trace.txt --mode bins --bin-width $w --out bins_w$w.txt; done
+  hk estimate --method all --in bins_w0.01.txt --out est_all_bins_w0.01.csv
+  python3 -c "
+import numpy as np
+rng = np.random.default_rng(3)
+k = np.sort(rng.integers(0, 40000, 20000))
+t = np.where(rng.random(20000) < 0.8, k / 100, (k + 0.5) / 100)
+s = rng.choice([40, 576, 1500], size=20000)
+print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), s.tolist())), end='')
+" > trace_edges.txt
+  for w in 0.01 0.001 0.003; do hk ingest --trace trace_edges.txt --mode bins --bin-width $w --out bins_edges_w$w.txt; done
   # both detrends on about 1e5 bins, and degree 1 beside the linear detrend
   hk ingest --trace trace.txt --mode bins --bin-width 0.0001220703125 --out bins_1e5.txt
   for k in linear poly; do hk filter --kind $k --in bins_1e5.txt --out filter_${k}_bins_1e5.txt; done

@@ -144,7 +144,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     mapping: dict[str, list[str]] = {}
     if args.config:
         with open_input(args.config) as fh:
-            mapping = parse_config(fh.read())
+            text = fh.read()
+        mapping = parse_config(text if isinstance(text, str) else text.decode("ascii"))
     spec = build_experiment_spec(mapping | _flags(args))
     matrix = run_matrix(spec)
     text = format_matrix(matrix, spec.fmt)

@@ -168,11 +168,12 @@ class GeneratorSource:
 
 @contextmanager
 def open_input(path: str):
-    """Open a text input file as ASCII; '-' means stdin."""
+    """Open an input file as bytes, which the readers check are ASCII;
+    '-' means stdin (its text stream where it has no byte buffer)."""
     if path == "-":
-        yield sys.stdin
+        yield getattr(sys.stdin, "buffer", sys.stdin)
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:
             yield fh
 
 
@@ -190,7 +191,7 @@ class FileSource:
         if self.take is not None and self.take < 0:
             raise ConfigError(f"take must be >= 0, got {self.take}")
 
-    def _read(self, fh: IO[str]) -> TimeSeries:
+    def _read(self, fh: IO[bytes]) -> TimeSeries:
         return read_series(fh)
 
     def make(self, seed: int) -> TimeSeries:
@@ -222,7 +223,7 @@ class TraceSource(FileSource):
             raise ConfigError("trace mode 'interarrival' reads no bin width ('bin-width')")
         super().__post_init__()
 
-    def _read(self, fh: IO[str]) -> TimeSeries:
+    def _read(self, fh: IO[bytes]) -> TimeSeries:
         trace = parse_packet_trace(fh, source=self.path)
         if self.mode == "bins":
             return bin_bytes(trace, float(self.bin_width))

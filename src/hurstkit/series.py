@@ -8,15 +8,35 @@ estimator is the biased one (denominator ``N`` at every lag), which keeps
 ``|rho(k)| <= 1`` and the estimated sequence positive semi-definite.
 
 Series text and packet-trace text share one reader, :func:`_parse_text`:
-the input is read once, NumPy's C text reader tries it first, and a
-line scanner that names the offending line reads whatever that reader
-refuses.
+the input is read once as ASCII bytes and tried by up to three readers,
+each only where the one before declines:
+
+1. ``_decimal_columns``, a numpy-only kernel that serves both line
+   shapes: ``D+ "." D+`` for a series (what :func:`write_series` writes
+   for whole values) and ``D+ "." D+ " " D+`` for a packet trace, with at
+   most 18 digits per number (the last newline optional).  It reads 8
+   digits per 64-bit word and forms each decimal's digits as an integer
+   m < 10**18 and its fraction length k.  Both m and 10**k are exact in
+   the x87 extended format (64-bit significand), so the quotient
+   m / 10**k is rounded once, to 64 bits, and converting it to float64
+   rounds a second time.  Two roundings agree with one unless the first
+   lands exactly on a float64 midpoint, whose last 11 significand bits
+   read 0b10000000000; those rows are read again with ``float()``.
+   Where longdouble is not that format the kernel declines every input.
+2. NumPy's C text reader, for any other text it accepts.
+3. A line scanner, the reference for what each format accepts and the
+   only source of diagnostics, which name the offending line.
+
+:func:`write_series` writes whole values below 1e16 (bytes per bin, for
+one) by forming their digits with numpy; every other value is written
+with ``repr``, and both give the same text.
 """
 
 from __future__ import annotations
 
 import io
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -196,12 +216,173 @@ _VALUE = np.dtype([("v", np.float64)])  # one field, so a line of two values is 
 # a byte that is not whitespace to both NumPy's reader and str.split()
 _DATA_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
 
+# The plain-decimal kernel reads the text in windows cut at a newline, each
+# copied behind a pad so that every digit word it loads lies in its copy.
+_WINDOW = 1 << 20  # bytes
+_PAD = 8
+_MAX_DIGITS = 18  # 10**18 < 2**63: every field is exact in uint64 and int64
+_SERIES_LINE = b".\n"  # D+ "." D+
+_TRACE_LINE = b". \n"  # D+ "." D+ " " D+
+# x87 extended precision, stored little-endian: the midpoint test reads its bits
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+_POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
+_POW10_LD = _POW10.astype(np.longdouble)
+
+
+def _digit_mask(digits: int) -> int:
+    """Low nibbles of the top ``digits`` bytes of a little-endian word."""
+    return (0x0F0F0F0F0F0F0F0F << 8 * (8 - digits)) & 0xFFFFFFFFFFFFFFFF
+
+
+# _KEEP[k][n]: the bytes of word k (k = 0 ends at the last digit) that hold
+# digits of an n-digit field
+_KEEP = np.array(
+    [[_digit_mask(min(max(n - 8 * k, 0), 8)) for n in range(_MAX_DIGITS + 1)] for k in range(3)],
+    dtype=np.uint64,
+)
+
+
+def _whole_text(values: np.ndarray) -> str | None:
+    """``"".join(f"{v!r}\n" for v in values)`` where every value is whole,
+    below 1e16 in magnitude and not -0.0, and None for any other values.
+
+    ``repr`` of such a value is its integer and ".0", so the digits are
+    formed by numpy: right-aligned by repeated ``// 10`` in a
+    ``(rows, width)`` byte block, whose leading pad one mask drops.
+    """
+    if not np.abs(values).max() < 1e16:
+        return None
+    ints = values.astype(np.int64)
+    negative = np.signbit(values)
+    if not np.array_equal(ints, values) or (negative & (ints == 0)).any():
+        return None
+    digits = np.abs(ints)
+    width = len(str(int(digits.max()))) + 1  # a sign column, then the digits
+    block = np.empty((values.size, width + 3), np.uint8)
+    block[:, width:] = np.frombuffer(b".0\n", np.uint8)
+    lead = (~negative).astype(np.intp)  # first column kept: 0 for a sign, else 1
+    for col in range(width - 1, 0, -1):
+        if col < width - 1:
+            lead += digits == 0  # a leading pad column
+        quotient = digits // 10
+        block[:, col] = digits - quotient * 10
+        digits = quotient
+    block[:, 1:width] += 48
+    rows = np.flatnonzero(negative)
+    block[rows, lead[rows]] = 45
+    keep = np.arange(width + 3) >= lead[:, None]
+    return block[keep].tobytes().decode("ascii")
+
 
 def write_series(series: TimeSeries, stream: IO[str]) -> None:
     """Write one value per line in plain decimal text (round-trip exact)."""
     values = series.values
     for start in range(0, values.size, _WRITE_SLICE):
-        stream.write("".join(f"{v!r}\n" for v in values[start : start + _WRITE_SLICE].tolist()))
+        chunk = values[start : start + _WRITE_SLICE]
+        text = _whole_text(chunk)
+        if text is None:
+            text = "".join(f"{v!r}\n" for v in chunk.tolist())
+        stream.write(text)
+
+
+def _swar8(words: np.ndarray) -> np.ndarray:
+    """Each word's eight digit values, most significant in the low byte, as
+    one number (in place): pairs, then quads, then all eight."""
+    words *= 10 << 8 | 1
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 << 16 | 1
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10000 << 32 | 1
+    words >>= 32
+    return words
+
+
+def _field(words: np.ndarray, end: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The values of the digit fields that end just before ``end``.
+
+    ``words[i]`` is the little-endian word of bytes i to i + 7, so the word
+    ending at ``end`` holds a field's last 8 digits.  A word wholly before a
+    short field may start before the copy; its negative index wraps to the
+    copy's tail, and ``_KEEP`` zeroes all of it.
+    """
+    value = 0
+    for k in range(-(-int(digits.max()) // 8)):
+        word = words[end - 8 * (k + 1)]
+        word &= _KEEP[k][digits]
+        _swar8(word)
+        if k:
+            word *= 10 ** (8 * k)
+        value += word
+    return value
+
+
+def _decimal_columns(buf: bytes, line: bytes) -> tuple[np.ndarray, ...] | None:
+    """The columns of text whose every line is ``D+ "." D+`` (``line`` is
+    ``b".\n"``) or ``D+ "." D+ " " D+`` (``line`` is ``b". \n"``), with at
+    most 18 digits per number and the last newline optional, exactly as
+    ``float()`` and ``int()`` read them: a float64 column, then an int64
+    column for the second shape.  None for any other text.
+    """
+    if not _EXTENDED or not buf:
+        return None
+    separators = np.frombuffer(line, np.uint8)
+    fields = separators.size
+    text = np.frombuffer(buf, np.uint8)
+    head = text[:64]  # most other text shows on its first line: decline before counting lines
+    if (head > 57).any() or np.isin(head[head < 48], separators, invert=True).any():
+        return None
+    rows = sum(int(np.count_nonzero(text[i : i + _WINDOW] == 10)) for i in range(0, text.size, _WINDOW))
+    rows += not buf.endswith(b"\n")
+    decimals = np.empty(rows, np.float64)
+    integers = np.empty(rows, np.int64) if fields == 3 else None
+    copy = np.zeros(_PAD + _WINDOW + 1, np.uint8)  # + the newline a last line may lack
+    words = np.ndarray(buffer=copy, dtype="<u8", shape=(copy.size - 7,), strides=(1,))
+    start = row = 0
+    while start < text.size:
+        stop = start + _WINDOW
+        if stop < text.size:
+            stop = buf.rfind(b"\n", start, stop) + 1
+            if stop <= start:
+                return None  # a line longer than a window
+        else:
+            stop = text.size
+        n = stop - start
+        copy[_PAD : _PAD + n] = text[start:stop]
+        if text[stop - 1] != 10:
+            copy[_PAD + n] = 10
+            n += 1
+        window = copy[_PAD : _PAD + n]
+        if (window > 57).any():
+            return None
+        at = np.flatnonzero(window < 48)
+        if at.size % fields or (window[at].reshape(-1, fields) != separators).any():
+            return None
+        lengths = np.diff(at, prepend=-1).reshape(-1, fields)
+        lengths -= 1
+        whole, frac = lengths[:, 0], lengths[:, 1]
+        if lengths.min() < 1 or (whole + frac).max() > _MAX_DIGITS or lengths.max() > _MAX_DIGITS:
+            return None
+        at += _PAD
+        ends = at.reshape(-1, fields).T
+        dot, after = ends[0], ends[1]  # around the fraction
+        mantissa = _field(words, dot, whole)
+        mantissa *= _POW10[frac]
+        mantissa += _field(words, after, frac)
+        quotient = mantissa.astype(np.longdouble)
+        quotient /= _POW10_LD[frac]
+        end = row + dot.size
+        decimals[row:end] = quotient
+        if integers is not None:
+            integers[row:end] = _field(words, ends[2], lengths[:, 2])
+        # quotients on a float64 midpoint, where the second rounding may err
+        low = np.ndarray(buffer=quotient, dtype="<u2", shape=quotient.shape, strides=(quotient.itemsize,))
+        for i in np.flatnonzero((low & 0x7FF) == 0x400).tolist():
+            decimals[row + i] = float(copy[dot[i] - whole[i] : after[i]].tobytes())
+        row = end
+        start = stop
+    return (decimals,) if integers is None else (decimals, integers)
 
 
 def _loadtxt(buf: bytes, dtype: np.dtype) -> np.ndarray | None:
@@ -217,26 +398,35 @@ def _loadtxt(buf: bytes, dtype: np.dtype) -> np.ndarray | None:
 
 
 def _parse_text(
-    lines: Iterable[str], load: Callable[[bytes], T | None], scan: Callable[[list[str]], T]
+    lines: Iterable[str] | IO[bytes], load: Callable[[bytes], T | None], scan: Callable[[list[str]], T]
 ) -> T:
-    """``load`` the text of ``lines`` encoded as ASCII; where it is not ASCII
-    or ``load`` returns None, ``scan`` its lines instead.
+    """``load`` the ASCII text of ``lines``; where it is not ASCII or ``load``
+    returns None, ``scan`` its lines instead.
 
-    ``lines`` is read once: a text stream whole, or an iterable of lines
-    with or without their newline.  ``scan`` is the reference for what a
-    format accepts and the only source of diagnostics; ``load`` is the
-    fast path, which returns None for any text it cannot read exactly as
-    ``scan`` would.
+    ``lines`` is read once: a binary or text stream whole, or an iterable of
+    lines with or without their newline.  A binary stream must hold ASCII
+    (else ``UnicodeDecodeError`` names the byte's offset), and its ``\r\n``
+    and ``\r`` line ends read as ``\n``, as a text stream's would.  ``scan``
+    is the reference for what a format accepts and the only source of
+    diagnostics; ``load`` is the fast path, which returns None for any text
+    it cannot read exactly as ``scan`` would.
     """
     read = getattr(lines, "read", None)
     if read is not None:
         text = read()
     else:
         text = "\n".join(line.removesuffix("\n") for line in lines)
-    try:
-        buf = text.encode("ascii")
-    except UnicodeEncodeError:
-        return scan(text.split("\n"))
+    if isinstance(text, bytes):
+        buf = text
+        if not buf.isascii():
+            buf.decode("ascii")  # raises, naming the offset
+        if b"\r" in buf:
+            buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    else:
+        try:
+            buf = text.encode("ascii")
+        except UnicodeEncodeError:
+            return scan(text.split("\n"))
     del text  # keep one copy of the characters alive, not two
     parsed = load(buf)
     if parsed is None:
@@ -245,7 +435,11 @@ def _parse_text(
 
 
 def _load_values(buf: bytes) -> TimeSeries | None:
-    """The series via NumPy's C reader, or None if the scanner must decide."""
+    """The series via the plain-decimal kernel or NumPy's C reader, or None
+    if the scanner must decide."""
+    columns = _decimal_columns(buf, _SERIES_LINE)
+    if columns is not None:
+        return TimeSeries(columns[0])
     table = _loadtxt(buf, _VALUE)
     if table is None:
         return None
@@ -272,11 +466,13 @@ def _scan_values(lines: Iterable[str]) -> TimeSeries:
         raise MalformedLine(str(exc)) from None
 
 
-def read_series(stream: Iterable[str]) -> TimeSeries:
+def read_series(stream: Iterable[str] | IO[bytes]) -> TimeSeries:
     """Read the one-value-per-line format; '#' comments and blanks allowed.
 
-    The text goes through NumPy's C reader when it can; comment lines,
-    ``1_000``, non-ASCII digits and every error take the line scanner,
-    whose diagnostics name the line.
+    ``stream`` is a binary or text stream, or an iterable of lines.  Plain
+    ``D+.D+`` lines go through the plain-decimal kernel and other text
+    through NumPy's C reader when it can; comment lines, ``1_000``,
+    non-ASCII digits (in a text stream) and every error take the line
+    scanner, whose diagnostics name the line.
     """
     return _parse_text(stream, _load_values, _scan_values)

@@ -15,34 +15,32 @@ Python objects.  :func:`parse_packet_trace` reads its input once into a
 buffer and tries three readers on it, each only where the one before
 declines:
 
-1. ``_decimal_columns``, a numpy-only kernel for the common shape, every
-   line ``D+ "." D+ " " D+ "\n"`` with at most 18 digits in the
-   timestamp and 18 in the size (the last newline optional).  It reads
-   8 digits per 64-bit word and forms each timestamp's digits as an
-   integer m < 10**18 and its fraction length k.  Both m and 10**k are
-   exact in the x87 extended format (64-bit significand), so the
-   quotient m / 10**k is rounded once, to 64 bits, and converting it to
-   float64 rounds a second time.  Two roundings agree with one unless
-   the first lands exactly on a float64 midpoint, whose last 11
-   significand bits read 0b10000000000; those rows are read again with
-   ``float()``.  Where longdouble is not that format the kernel declines
-   every input.
+1. ``series._decimal_columns``, the plain-decimal kernel that
+   :func:`~hurstkit.series.read_series` uses too, here for lines
+   ``D+ "." D+ " " D+ "\n"`` with at most 18 digits in the timestamp and
+   18 in the size (the last newline optional); the series module
+   describes how it stays exact.
 2. NumPy's C text reader, for any other text it accepts.
 3. The line-by-line scanner ``_scan``, for the rest: text the readers
    above refuse, text :class:`PacketTrace` refuses from them (a
    timestamp that is not finite or decreases, a negative size), empty
    text and text that is not ASCII.
 
-The scanner is the reference for what the format accepts and the only
+The trace adopts the columns the first two readers build, uncopied.  The
+scanner is the reference for what the format accepts and the only
 source of diagnostics, so every error names the line and column it
 always did; inputs only the scanner accepts (comment lines, ``1_000``,
 non-ASCII digits) still parse, just at the scanner's speed.
+
+:func:`bin_bytes` takes each bin index as ``floor(d / w)`` and falls back
+to numpy's ``d // w`` only on the rows where ``d / w`` rounds onto a
+whole number, the only rows where the two can differ below 2**51 bins;
+the bins are the ones ``d // w`` gives everywhere.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -55,7 +53,7 @@ from .errors import (
     NonMonotoneTimestamp,
     TooFewRecords,
 )
-from .series import _WRITE_SLICE, TimeSeries, _loadtxt, _parse_text
+from .series import _TRACE_LINE, _WRITE_SLICE, TimeSeries, _decimal_columns, _loadtxt, _parse_text
 
 __all__ = [
     "PacketRecord",
@@ -69,30 +67,10 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_BINS = int(np.iinfo(np.intp).max) // 8  # float64 bins whose byte count fits in intp
 _COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
-
-# The plain-decimal kernel reads the text in windows cut at a newline, each
-# copied behind a pad so that every digit word it loads lies in its copy.
-_WINDOW = 1 << 20  # bytes
-_PAD = 8
-_MAX_DIGITS = 18  # 10**18 < 2**63: every field is exact in uint64 and int64
-_SEPARATORS = np.frombuffer(b". \n", np.uint8)
-# x87 extended precision, stored little-endian: the midpoint test reads its bits
-_EXTENDED = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
-_POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
-_POW10_LD = _POW10.astype(np.longdouble)
-
-
-def _digit_mask(digits: int) -> int:
-    """Low nibbles of the top ``digits`` bytes of a little-endian word."""
-    return (0x0F0F0F0F0F0F0F0F << 8 * (8 - digits)) & 0xFFFFFFFFFFFFFFFF
-
-
-# _KEEP[k][n]: the bytes of word k (k = 0 ends at the last digit) that hold
-# digits of an n-digit field
-_KEEP = np.array(
-    [[_digit_mask(min(max(n - 8 * k, 0), 8)) for n in range(_MAX_DIGITS + 1)] for k in range(3)],
-    dtype=np.uint64,
-)
+# Below this quotient, d // w is the floor of the real d / w (d >= 0, w > 0),
+# and floor(fl(d / w)) differs from it only where fl(d / w) rounds onto a
+# whole number; at or past it, every bin index is d // w alone.
+_EXACT_QUOTIENT = 2.0**51
 
 
 @dataclass(frozen=True)
@@ -115,14 +93,6 @@ class PacketRecord:
         object.__setattr__(self, "size", size)
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d column, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 class PacketTrace:
     """Ordered packets as two columns plus a free-form source label.
 
@@ -141,21 +111,36 @@ class PacketTrace:
         sizes: Sequence[int] | np.ndarray = (),
         source: str = "",
     ):
-        ts = _read_only(timestamps, np.float64)
         given = np.asarray(sizes)
-        sz = _read_only(given, np.int64)
+        sz = np.array(given, dtype=np.int64)
         if not np.array_equal(sz, given):
             raise ValueError("packet sizes must be whole numbers")
+        self._adopt(np.array(timestamps, dtype=np.float64), sz, source)
+
+    @classmethod
+    def _from_columns(cls, timestamps: np.ndarray, sizes: np.ndarray, source: str) -> PacketTrace:
+        """A trace that keeps (and freezes) float64 and int64 columns the
+        package has just built and holds no other reference to."""
+        trace = cls.__new__(cls)
+        trace._adopt(timestamps, sizes, source)
+        return trace
+
+    def _adopt(self, ts: np.ndarray, sz: np.ndarray, source: str) -> None:
+        for column in (ts, sz):
+            if column.ndim != 1:
+                raise ValueError(f"expected a 1-d column, got shape {column.shape}")
         if ts.size != sz.size:
             raise ValueError(f"{ts.size} timestamps but {sz.size} sizes")
         if not np.isfinite(ts).all():
             raise ValueError("packet timestamps must be finite")
         if (sz < 0).any():
             raise ValueError("packet sizes must be >= 0")
-        drops = np.flatnonzero(np.diff(ts) < 0)
+        drops = np.flatnonzero(ts[1:] < ts[:-1])
         if drops.size:
             i = int(drops[0]) + 1
             raise NonMonotoneTimestamp(f"record {i + 1}: timestamp {ts[i]} < {ts[i - 1]}")
+        ts.setflags(write=False)
+        sz.setflags(write=False)
         self._timestamps = ts
         self._sizes = sz
         self.source = source
@@ -218,116 +203,26 @@ def _scan(lines: Iterable[str]) -> tuple[list[float], list[int]]:
     return timestamps, sizes
 
 
-def _swar8(words: np.ndarray) -> np.ndarray:
-    """Each word's eight digit values, most significant in the low byte, as
-    one number (in place): pairs, then quads, then all eight."""
-    words *= 10 << 8 | 1
-    words >>= 8
-    words &= 0x00FF00FF00FF00FF
-    words *= 100 << 16 | 1
-    words >>= 16
-    words &= 0x0000FFFF0000FFFF
-    words *= 10000 << 32 | 1
-    words >>= 32
-    return words
-
-
-def _field(words: np.ndarray, end: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """The values of the digit fields that end just before ``end``.
-
-    ``words[i]`` is the little-endian word of bytes i to i + 7, so the word
-    ending at ``end`` holds a field's last 8 digits.  A word wholly before a
-    short field may start before the copy; its negative index wraps to the
-    copy's tail, and ``_KEEP`` zeroes all of it.
-    """
-    value = 0
-    for k in range(-(-int(digits.max()) // 8)):
-        word = words[end - 8 * (k + 1)]
-        word &= _KEEP[k][digits]
-        _swar8(word)
-        if k:
-            word *= 10 ** (8 * k)
-        value += word
-    return value
-
-
-def _decimal_columns(buf: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Timestamps and sizes of text whose every line is ``D+ "." D+ " " D+``
-    (at most 18 digits per number, the last newline optional), exactly as
-    ``float()`` and ``int()`` read them; None for any other text."""
-    if not _EXTENDED or not buf:
-        return None
-    text = np.frombuffer(buf, np.uint8)
-    rows = sum(int(np.count_nonzero(text[i : i + _WINDOW] == 10)) for i in range(0, text.size, _WINDOW))
-    rows += not buf.endswith(b"\n")
-    timestamps = np.empty(rows, np.float64)
-    sizes = np.empty(rows, np.int64)
-    copy = np.zeros(_PAD + _WINDOW + 1, np.uint8)  # + the newline a last line may lack
-    words = np.ndarray(buffer=copy, dtype="<u8", shape=(copy.size - 7,), strides=(1,))
-    start = row = 0
-    while start < text.size:
-        stop = start + _WINDOW
-        if stop < text.size:
-            stop = buf.rfind(b"\n", start, stop) + 1
-            if stop <= start:
-                return None  # a line longer than a window
-        else:
-            stop = text.size
-        n = stop - start
-        copy[_PAD : _PAD + n] = text[start:stop]
-        if text[stop - 1] != 10:
-            copy[_PAD + n] = 10
-            n += 1
-        window = copy[_PAD : _PAD + n]
-        if (window > 57).any():
-            return None
-        at = np.flatnonzero(window < 48)
-        if at.size % 3 or (window[at].reshape(-1, 3) != _SEPARATORS).any():
-            return None
-        lengths = np.diff(at, prepend=-1).reshape(-1, 3)
-        lengths -= 1
-        whole, frac, size = lengths.T
-        if lengths.min() < 1 or (whole + frac).max() > _MAX_DIGITS or size.max() > _MAX_DIGITS:
-            return None
-        at += _PAD
-        dot, space, newline = at.reshape(-1, 3).T
-        mantissa = _field(words, dot, whole)
-        mantissa *= _POW10[frac]
-        mantissa += _field(words, space, frac)
-        quotient = mantissa.astype(np.longdouble)
-        quotient /= _POW10_LD[frac]
-        end = row + dot.size
-        timestamps[row:end] = quotient
-        sizes[row:end] = _field(words, newline, size)
-        # quotients on a float64 midpoint, where the second rounding may err
-        low = np.ndarray(buffer=quotient, dtype="<u2", shape=quotient.shape, strides=(quotient.itemsize,))
-        for i in np.flatnonzero((low & 0x7FF) == 0x400).tolist():
-            timestamps[row + i] = float(copy[dot[i] - whole[i] : space[i]].tobytes())
-        row = end
-        start = stop
-    return timestamps, sizes
-
-
 def _load_trace(buf: bytes, source: str) -> PacketTrace | None:
     """The trace via the plain-decimal kernel or NumPy's C reader, or None
     if the scanner must decide."""
-    columns = _decimal_columns(buf)
+    columns = _decimal_columns(buf, _TRACE_LINE)
     if columns is None:
         table = _loadtxt(buf, _COLUMNS)
         if table is None:
             return None
         columns = table["t"], table["s"]
     try:
-        return PacketTrace(*columns, source=source)
+        return PacketTrace._from_columns(*columns, source=source)
     except (ValueError, NonMonotoneTimestamp):
         return None
 
 
-def parse_packet_trace(lines: Iterable[str], source: str = "") -> PacketTrace:
+def parse_packet_trace(lines: Iterable[str] | IO[bytes], source: str = "") -> PacketTrace:
     """Parse the two-column text format, reporting the first bad entry.
 
-    ``lines`` is a text stream, or an iterable of lines with or without
-    their newline.
+    ``lines`` is a binary or text stream, or an iterable of lines with or
+    without their newline.
     """
     return _parse_text(
         lines,
@@ -370,10 +265,20 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
             "more than an array can index"
         )
     nbins = math.ceil(bins)
-    idx = ((ts - t0) // bin_width).astype(np.int64)
+    if bins < _EXACT_QUOTIENT:
+        quotient = ts - t0
+        quotient /= bin_width
+        idx = np.floor(quotient, out=np.empty(ts.size, np.int64), casting="unsafe")
+        edges = np.flatnonzero(quotient == idx)
+        idx[edges] = (ts[edges] - t0) // bin_width
+    else:
+        idx = ((ts - t0) // bin_width).astype(np.int64)
+    sizes = trace._sizes
     keep = idx < nbins
+    if not keep.all():
+        idx, sizes = idx[keep], sizes[keep]
     try:
-        return TimeSeries(np.bincount(idx[keep], weights=trace._sizes[keep], minlength=nbins))
+        return TimeSeries(np.bincount(idx, weights=sizes, minlength=nbins))
     except MemoryError:
         raise BadBinWidth(
             f"bin width {bin_width!r} cuts the {span!r} s trace into {nbins} bins, "

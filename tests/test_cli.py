@@ -120,6 +120,33 @@ def test_ingest_from_stdin(tmp_path, monkeypatch):
         assert hk.read_series(fh).values.tolist() == [0.5, 0.5]
 
 
+def test_ingest_reads_the_bytes_under_stdin(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0.0 10\r\n0.5 20\r\n1.0 30\r\n")))
+    out = tmp_path / "bins.txt"
+    assert run_cli("ingest", "--trace", "-", "--mode", "bins", "--bin-width", "0.5", "--out", str(out)) == 0
+    assert out.read_text() == "10.0\n20.0\n"
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_read_as_lf(tmp_path, newline):
+    trace = b"".join(b"%d.%d %d\n" % (i // 10, i % 10, 40 + i) for i in range(3000))
+    series = b"".join(b"%d.0\n" % (i * 7919 % 1000) for i in range(3000))
+    config = b"source = file\npath = %s\nestimator = aggvar\nfilter = none\nfilter = linear\n"
+    outputs = []
+    for end in (b"\n", newline):
+        d = tmp_path / ("lf" if end == b"\n" else "other")
+        d.mkdir()
+        (d / "t.txt").write_bytes(trace.replace(b"\n", end))
+        (d / "s.txt").write_bytes(series.replace(b"\n", end))
+        (d / "m.cfg").write_bytes((config % str(d / "s.txt").encode()).replace(b"\n", end))
+        assert run_cli("ingest", "--trace", str(d / "t.txt"), "--mode", "bins", "--bin-width", "0.3",
+                       "--out", str(d / "bins.txt")) == 0
+        assert run_cli("estimate", "--method", "all", "--in", str(d / "s.txt"), "--out", str(d / "est.csv")) == 0
+        assert run_cli("matrix", "--config", str(d / "m.cfg"), "--out", str(d / "m.csv")) == 0
+        outputs.append([(d / name).read_bytes() for name in ("bins.txt", "est.csv", "m.csv")])
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("flag", ["--skip", "--take"])
 def test_ingest_rejects_negative_window(tmp_path, capsys, flag):
     trace = tmp_path / "trace.txt"
@@ -276,6 +303,26 @@ def test_non_ascii_byte_is_reported_at_its_file_offset(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(text[:10000] + b"\xe9" + text[10000:])
     assert run_cli("estimate", "--method", "rs", "--in", str(bad)) == 2
+    assert capsys.readouterr().err == (
+        "hurstkit: error: 'ascii' codec can't decode byte 0xe9 in position 10000: "
+        "ordinal not in range(128)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda path: ["ingest", "--trace", path, "--mode", "interarrival"],
+        lambda path: ["matrix", "--source", "trace", "--path", path, "--mode", "bins", "--bin-width", "0.5"],
+        lambda path: ["matrix", "--config", path],
+    ],
+    ids=["ingest", "matrix-trace", "matrix-config"],
+)
+def test_non_ascii_byte_in_a_trace_or_config_is_reported_at_its_file_offset(tmp_path, capsys, command):
+    text = "".join(f"{i}.5 64\n" for i in range(3000)).encode("ascii")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text[:10000] + b"\xe9" + text[10000:])
+    assert run_cli(*command(str(bad))) == 2
     assert capsys.readouterr().err == (
         "hurstkit: error: 'ascii' codec can't decode byte 0xe9 in position 10000: "
         "ordinal not in range(128)\n"

@@ -1,6 +1,8 @@
 import io
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,16 @@ from hypothesis import strategies as st
 
 import hurstkit as hk
 from hurstkit import TimeSeries, acf, aggregate, read_series, summary_stats, write_series
-from hurstkit.series import _load_values, _row_sums, _scan_values
+from hurstkit import series
+from hurstkit.series import (
+    _SERIES_LINE,
+    _WRITE_SLICE,
+    _decimal_columns,
+    _load_values,
+    _row_sums,
+    _scan_values,
+    _whole_text,
+)
 
 
 def test_summary_stats_constant():
@@ -234,6 +245,12 @@ def _check_fast_path_agrees(text):
         assert _series_outcome(lambda t: read_series(io.StringIO(t)), text) == want
         assert _series_outcome(lambda t: read_series(io.StringIO(t).readlines()), text) == want
         if text.isascii():
+            # a binary stream reads \r\n and \r as \n, as a file opened as text does
+            universal = text.replace("\r\n", "\n").replace("\r", "\n")
+            assert _series_outcome(lambda t: read_series(io.BytesIO(t.encode("ascii"))), text) == (
+                _series_outcome(_by_series_scanner, universal)
+            )
+        if text.isascii():
             fast = _load_values(text.encode("ascii"))
             assert fast is None or fast.values.tobytes() == want
 
@@ -284,3 +301,162 @@ def test_read_series_fast_path_reads_written_values(values, newline):
     fast = _load_values(text.encode("ascii"))
     assert fast is not None if values else fast is None
     _check_fast_path_agrees(text)
+
+
+# --- write_series: whole values formatted by numpy --------------------------
+
+
+def _repr_lines(values):
+    return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def _written(values):
+    buf = io.StringIO()
+    write_series(TimeSeries(values), buf)
+    return buf.getvalue()
+
+
+_POWERS = [float(10**k) for k in range(16)] + [float(10**k - 1) for k in range(1, 16)]
+
+
+@pytest.mark.parametrize(
+    "values, whole",
+    [
+        ([0.0], True),
+        ([-0.0], False),
+        ([1.0], True),
+        ([9999999999999998.0], True),
+        ([1e16], False),
+        ([2.0**53, 2.0**53 + 2], True),
+        ([-1.0, -10.0, -2.0**53, -9999999999999998.0, 7.0], True),
+        (_POWERS + [-v for v in _POWERS if v], True),
+        ([0.0, 1.5, 2.0], False),
+        ([3.0, -0.0, 4.0], False),
+        ([5.0, 5e-324], False),
+    ],
+    ids=["zero", "negative-zero", "one", "below-1e16", "1e16", "2**53", "negative", "digit-counts",
+         "mixed", "whole-and-negative-zero", "subnormal"],
+)
+def test_write_series_matches_repr(values, whole):
+    assert (_whole_text(np.array(values)) is not None) == whole
+    assert _written(values) == _repr_lines(values)
+
+
+def test_write_series_whole_and_mixed_slices_beyond_one_slice():
+    rng = np.random.default_rng(5)
+    whole = np.floor(rng.pareto(1.0, _WRITE_SLICE + 7) * 1000) * rng.choice([-1.0, 1.0], _WRITE_SLICE + 7)
+    whole[whole == 0] = 0.0  # no -0.0: every slice takes the numpy path
+    mixed = whole.copy()
+    mixed[_WRITE_SLICE + 3] += 0.5  # the second slice falls back to repr
+    for values in (whole, mixed):
+        assert _written(values) == _repr_lines(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**16), 10**16).map(float) | _EDGE_FLOATS, max_size=50))
+def test_write_series_of_whole_values_matches_repr(values):
+    assert _written(values) == _repr_lines(values)
+
+
+# --- read_series: the plain-decimal kernel on D+.D+ lines -------------------
+
+
+def _by_series_kernel(text):
+    columns = _decimal_columns(text.encode("ascii"), _SERIES_LINE)
+    return None if columns is None else columns[0].tobytes()
+
+
+def _floats(lines):
+    return np.array([float(line) for line in lines]).tobytes()
+
+
+def _near_series_midpoints(count, seed):
+    """18-digit decimals within a quarter of a 64-bit ulp of a float64
+    midpoint, where a quotient rounded twice may err."""
+    rnd = random.Random(seed)
+    found = []
+    while len(found) < count:
+        value = rnd.uniform(0.0, 10.0 ** rnd.randint(0, 12))
+        ulp = Fraction(2) ** (math.frexp(value)[1] - 53)
+        midpoint = Fraction(value) + ulp / 2
+        frac = 18 - len(str(int(midpoint)))
+        scaled = round(midpoint * 10**frac)
+        if abs(Fraction(scaled, 10**frac) - midpoint) * 2**13 < ulp:
+            digits = str(scaled).rjust(frac + 1, "0")
+            found.append(f"{digits[:-frac]}.{digits[-frac:]}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["9007199254740993.0", "4503599627370496.5", "4503599627370497.5", "0.50000000000000005"],
+        _near_series_midpoints(60, 8),
+        ["99999999999999999.9", "0.99999999999999999", "123456789.123456789", "1.00000000000000000"],
+        ["0.0", "00.000", "5.0", "1500.0", "17.25"],
+    ],
+    ids=["midpoints", "near-midpoints", "18-digits", "short"],
+)
+def test_series_kernel_reads_float_bits(lines):
+    text = "".join(f"{line}\n" for line in lines)
+    assert _by_series_kernel(text) == _floats(lines)
+    assert _by_series_kernel(text[:-1]) == _floats(lines)  # no final newline
+    assert read_series(io.BytesIO(text.encode("ascii"))).values.tobytes() == _floats(lines)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1234567890.123456789\n",  # 19 digits
+        "0.1234567890123456789\n",
+        "-1.5\n",
+        "1.5\n-2.5\n",
+        "1.0e5\n",
+        "1.5\n\n2.5\n",
+        "# c\n1.5\n",
+        "1.5 # c\n",
+        " 1.5\n",
+        "1.5 \n",
+        "15\n",
+        ".5\n",
+        "5.\n",
+        "1.5 64\n",
+        "1.2.3\n",
+        "",
+    ],
+)
+def test_series_kernel_declines_other_text(text):
+    assert _by_series_kernel(text) is None
+    _check_fast_path_agrees(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.text("0123456789", min_size=1, max_size=10),
+                          st.text("0123456789", min_size=1, max_size=10)), min_size=1, max_size=30))
+def test_series_kernel_reads_up_to_18_digits(fields):
+    lines = [f"{whole}.{frac}" for whole, frac in fields]
+    got = _by_series_kernel("".join(f"{line}\n" for line in lines))
+    if max(len(line) - 1 for line in lines) > 18:
+        assert got is None
+    else:
+        assert got == _floats(lines)
+
+
+def test_series_kernel_declines_without_the_extended_format(monkeypatch):
+    monkeypatch.setattr(series, "_EXTENDED", False)
+    assert _by_series_kernel("1.5\n") is None
+    assert read_series(io.BytesIO(b"1.5\n2.0\n")).values.tolist() == [1.5, 2.0]
+
+
+def test_binary_stream_reports_a_non_ascii_byte_at_its_offset():
+    text = b"".join(b"%d.0\n" % i for i in range(5000))
+    with pytest.raises(UnicodeDecodeError) as exc:
+        read_series(io.BytesIO(text[:20000] + b"\xc3\xa9" + text[20000:]))
+    assert str(exc.value) == "'ascii' codec can't decode byte 0xc3 in position 20000: ordinal not in range(128)"
+
+
+def test_binary_stream_reads_crlf_and_cr_line_ends():
+    values = [float(i) for i in range(1000)] + [0.25, -3.5]
+    lf = "".join(f"{v!r}\n" for v in values).encode("ascii")
+    for text in (lf, lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r")):
+        assert read_series(io.BytesIO(text)).values.tolist() == values

@@ -17,8 +17,9 @@ from hurstkit import (
     parse_packet_trace,
     serialize_packet_trace,
 )
-from hurstkit import traces
-from hurstkit.traces import _decimal_columns, _load_trace, _scan
+from hurstkit import series, traces
+from hurstkit.series import _TRACE_LINE, _decimal_columns
+from hurstkit.traces import _load_trace, _scan
 
 
 def trace_of(pairs, source="t"):
@@ -153,6 +154,77 @@ def test_bin_bytes_refuses_a_bin_count_memory_cannot_hold(monkeypatch, failing):
     assert str(exc.value) == "bin width 1e-12 cuts the 0.4 s trace into 400000000000 bins, more than memory can hold"
 
 
+def _bins_by_floor_divide(timestamps, sizes, width):
+    """The bins as ``(ts - t0) // width`` gives them, the reference rule."""
+    ts = np.asarray(timestamps, dtype=np.float64)
+    nbins = math.ceil(float(ts[-1] - ts[0]) / width)
+    idx = ((ts - ts[0]) // width).astype(np.int64)
+    keep = idx < nbins
+    return np.bincount(idx[keep], weights=np.asarray(sizes)[keep], minlength=nbins)
+
+
+_BIN_WIDTHS = st.sampled_from([0.1, 0.01, 1 / 3, 7e-5, 2.0**-7, 0.003, 1.0]) | st.floats(1e-4, 10.0)
+
+
+@st.composite
+def _binned_traces(draw):
+    """A bin width and a trace whose timestamps sit on its bin edges, as
+    ``t0 + i * w`` and as the decimal of ``i`` edges, or between them."""
+    width = draw(_BIN_WIDTHS)
+    t0 = draw(st.sampled_from([0.0, 0.37, 1234.5678, 1.16e9, 1.7e9 + 0.25]) | st.floats(0.0, 1e6))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from(["edge", "decimal", "between"]), st.floats(0.0, 1.0)),
+        min_size=1, max_size=200,
+    ))
+    edge = 0
+    stamps = []
+    for step, kind, share in rows:
+        edge += step
+        if kind == "edge":
+            stamps.append(t0 + edge * width)
+        elif kind == "decimal":
+            stamps.append(t0 + float(Fraction(edge) * Fraction(repr(width))))
+        else:
+            stamps.append(t0 + (edge + share) * width)
+    ts = np.maximum.accumulate(np.array(stamps))
+    sizes = draw(st.lists(st.integers(0, 1500), min_size=ts.size, max_size=ts.size))
+    return width, ts, np.array(sizes, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binned_traces())
+def test_bin_bytes_matches_floor_divide(case):
+    width, ts, sizes = case
+    want = _bins_by_floor_divide(ts, sizes, width)
+    assert bin_bytes(PacketTrace(ts, sizes), width).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [0.1, 0.01, 1 / 3, 7e-5, 2.0**-7])
+def test_bin_bytes_on_decimal_edges_matches_floor_divide(width):
+    # every timestamp is the double nearest a bin edge, where floor(d / w)
+    # and d // w most often disagree
+    edges = np.arange(0, 20000, 3)
+    for t0 in (0.0, 1.16e9):
+        ts = t0 + np.array([float(Fraction(int(i)) * Fraction(repr(width))) for i in edges])
+        ts = np.maximum.accumulate(ts)
+        sizes = np.arange(ts.size) % 1501
+        got = bin_bytes(PacketTrace(ts, sizes), width).values
+        assert got.tobytes() == _bins_by_floor_divide(ts, sizes, width).tobytes()
+
+
+def test_bin_bytes_takes_floor_divide_from_2_51(monkeypatch):
+    # floor(d / w) is exact only while the quotients stay below 2**51; from
+    # there on every index is d // w, here forced by a lower bound
+    ts = np.array([0.0, 0.3, 0.6, 0.9, 1.2, 2.4, 3.0000000000000004])
+    sizes = np.arange(ts.size) + 1
+    monkeypatch.setattr(traces, "_EXACT_QUOTIENT", 4.0)
+    for width in (0.1, 0.3, 1 / 3):
+        got = bin_bytes(PacketTrace(ts, sizes), width).values
+        assert got.tobytes() == _bins_by_floor_divide(ts, sizes, width).tobytes()
+    monkeypatch.undo()
+    assert traces._EXACT_QUOTIENT == 2.0**51
+
+
 def test_interarrival_hand_example():
     series = interarrival_series(trace_of([(0.0, 1), (1.0, 1), (3.0, 1), (6.0, 1)]))
     assert series.values.tolist() == [1.0, 2.0, 3.0]
@@ -200,6 +272,39 @@ def test_columns_are_read_only_and_typed():
 def test_constructor_rejects_what_the_parser_rejects(timestamps, sizes):
     with pytest.raises(ValueError):
         PacketTrace(timestamps, sizes)
+
+
+def test_constructor_copies_the_callers_columns():
+    ts = np.array([0.0, 0.5, 1.0])
+    sizes = np.array([10, 20, 30])
+    trace = PacketTrace(ts, sizes)
+    ts[0] = 0.75
+    sizes[1] = 99
+    assert trace.records == (PacketRecord(0.0, 10), PacketRecord(0.5, 20), PacketRecord(1.0, 30))
+
+
+def test_parsed_trace_freezes_the_readers_columns():
+    for text in (b"0.5 64\n0.75 32\n", b"0.5 64\n7.5e-1 32\n"):  # the kernel, then NumPy's reader
+        trace = parse_packet_trace(io.BytesIO(text))
+        assert not trace._timestamps.flags.writeable and not trace._sizes.flags.writeable
+        assert (trace._timestamps.dtype, trace._sizes.dtype) == (np.float64, np.int64)
+        assert trace.records == (PacketRecord(0.5, 64), PacketRecord(0.75, 32))
+
+
+@pytest.mark.parametrize(
+    "timestamps, sizes, error",
+    [
+        ([0.0, np.inf], [1, 2], ValueError),
+        ([0.0, 1.0], [1, -2], ValueError),
+        ([0.0, 1.0], [1], ValueError),
+        ([1.0, 0.5], [1, 2], hk.NonMonotoneTimestamp),
+        ([[0.0, 1.0]], [[1, 2]], ValueError),
+    ],
+    ids=["inf-timestamp", "negative-size", "lengths", "decreasing", "2-d"],
+)
+def test_adopted_columns_are_checked(timestamps, sizes, error):
+    with pytest.raises(error):
+        PacketTrace._from_columns(np.array(timestamps), np.array(sizes, dtype=np.int64), "")
 
 
 def test_fractional_sizes_are_rejected():
@@ -258,6 +363,11 @@ def _by_parser(text):
     return _exact(trace.timestamps.tolist(), (r.size for r in trace.records))
 
 
+def _by_bytes_parser(text):
+    trace = parse_packet_trace(io.BytesIO(text.encode("ascii")))
+    return _exact(trace.timestamps.tolist(), (r.size for r in trace.records))
+
+
 def _by_fast_path(text):
     trace = _load_trace(text.encode("ascii"), "")
     return None if trace is None else _exact(trace.timestamps.tolist(), (r.size for r in trace.records))
@@ -302,6 +412,9 @@ def test_parse_matches_reference_scanner(text):
     if text.isascii():
         fast = _by_fast_path(text)
         assert fast is None or fast == want
+        # a binary stream reads \r\n and \r as \n, as a file opened as text does
+        universal = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert _outcome(_by_bytes_parser, text) == _outcome(_by_scanner, universal)
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,7 +462,7 @@ def test_serialize_formats_in_slices_with_the_same_bytes():
 
 
 def _by_kernel(text):
-    columns = _decimal_columns(text.encode("ascii"))
+    columns = _decimal_columns(text.encode("ascii"), _TRACE_LINE)
     return None if columns is None else _exact(*columns)
 
 
@@ -474,7 +587,7 @@ def test_kernel_reads_only_its_grammar(text, read):
 @pytest.mark.parametrize("window", [40, 41, 47, 64, 100])
 @pytest.mark.parametrize("final_newline", [True, False])
 def test_kernel_windows_cut_anywhere(monkeypatch, window, final_newline):
-    monkeypatch.setattr(traces, "_WINDOW", window)
+    monkeypatch.setattr(series, "_WINDOW", window)
     rnd = random.Random(window)
     stamps = [f"{_digits(rnd, rnd.randint(1, 9))}.{_digits(rnd, rnd.randint(1, 9))}" for _ in range(200)]
     text = _lines(stamps, [_digits(rnd, rnd.randint(1, 18)) for _ in stamps])
@@ -483,7 +596,7 @@ def test_kernel_windows_cut_anywhere(monkeypatch, window, final_newline):
 
 
 def test_kernel_refuses_a_line_longer_than_a_window(monkeypatch):
-    monkeypatch.setattr(traces, "_WINDOW", 16)
+    monkeypatch.setattr(series, "_WINDOW", 16)
     assert _by_kernel("0.5 64\n123456789.123456789 1\n") is None
 
 
@@ -501,7 +614,7 @@ def test_trace_without_the_extended_format_parses_the_same(monkeypatch):
     stamps = [f"{_digits(rnd, 3)}.{_digits(rnd, rnd.randint(1, 15))}" for _ in range(500)] + _near_midpoints(20, 5)
     text = _lines(stamps, [_digits(rnd, 4) for _ in stamps])
     fast = parse_packet_trace(io.StringIO(text))
-    monkeypatch.setattr(traces, "_EXTENDED", False)
+    monkeypatch.setattr(series, "_EXTENDED", False)
     assert _by_kernel(text) is None
     slow = parse_packet_trace(io.StringIO(text))
     assert slow.timestamps.tobytes() == fast.timestamps.tobytes()
