@@ -145,7 +145,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.config:
         with open_input(args.config) as fh:
             text = fh.read()
-        mapping = parse_config(text if isinstance(text, str) else text.decode("ascii"))
+        mapping = parse_config(text.decode("ascii"))
     spec = build_experiment_spec(mapping | _flags(args))
     matrix = run_matrix(spec)
     text = format_matrix(matrix, spec.fmt)

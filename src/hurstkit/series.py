@@ -331,10 +331,14 @@ def _decimal_columns(buf: bytes, line: bytes) -> tuple[np.ndarray, ...] | None:
     fields = separators.size
     text = np.frombuffer(buf, np.uint8)
     head = text[:64]  # most other text shows on its first line: decline before counting lines
-    if (head > 57).any() or np.isin(head[head < 48], separators, invert=True).any():
+    if np.isin(head[head < 48], separators, invert=True).any():
         return None
-    rows = sum(int(np.count_nonzero(text[i : i + _WINDOW] == 10)) for i in range(0, text.size, _WINDOW))
-    rows += not buf.endswith(b"\n")
+    rows = not buf.endswith(b"\n")
+    for i in range(0, text.size, _WINDOW):
+        chunk = text[i : i + _WINDOW]
+        if (chunk > 57).any():
+            return None  # a byte above "9" (an exponent, inf, nan) declines before any window is read
+        rows += int(np.count_nonzero(chunk == 10))
     decimals = np.empty(rows, np.float64)
     integers = np.empty(rows, np.int64) if fields == 3 else None
     copy = np.zeros(_PAD + _WINDOW + 1, np.uint8)  # + the newline a last line may lack
@@ -354,8 +358,6 @@ def _decimal_columns(buf: bytes, line: bytes) -> tuple[np.ndarray, ...] | None:
             copy[_PAD + n] = 10
             n += 1
         window = copy[_PAD : _PAD + n]
-        if (window > 57).any():
-            return None
         at = np.flatnonzero(window < 48)
         if at.size % fields or (window[at].reshape(-1, fields) != separators).any():
             return None

@@ -26,16 +26,19 @@ declines:
    timestamp that is not finite or decreases, a negative size), empty
    text and text that is not ASCII.
 
-The trace adopts the columns the first two readers build, uncopied.  The
-scanner is the reference for what the format accepts and the only
-source of diagnostics, so every error names the line and column it
-always did; inputs only the scanner accepts (comment lines, ``1_000``,
-non-ASCII digits) still parse, just at the scanner's speed.
+The trace adopts the kernel's columns uncopied, and contiguous copies of
+the field views NumPy's reader returns.  The scanner is the reference for
+what the format accepts and the only source of diagnostics, so every
+error names the line and column it always did; inputs only the scanner
+accepts (comment lines, ``1_000``, non-ASCII digits) still parse, just at
+the scanner's speed.
 
-:func:`bin_bytes` takes each bin index as ``floor(d / w)`` and falls back
-to numpy's ``d // w`` only on the rows where ``d / w`` rounds onto a
-whole number, the only rows where the two can differ below 2**51 bins;
-the bins are the ones ``d // w`` gives everywhere.
+:func:`bin_bytes` takes each bin index as ``floor(d / w)`` and re-takes
+numpy's ``d // w`` only on the rows where ``d / w`` rounds onto a whole
+number, the only rows where the two can differ below 2**51 bins; the
+bins are the ones ``d // w`` gives everywhere.  Timestamps quantised to
+the bin width (whole seconds at w = 1) put most rows on such an edge,
+and there the division, floor and compare are paid on top of ``//``.
 """
 
 from __future__ import annotations
@@ -67,10 +70,6 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_BINS = int(np.iinfo(np.intp).max) // 8  # float64 bins whose byte count fits in intp
 _COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
-# Below this quotient, d // w is the floor of the real d / w (d >= 0, w > 0),
-# and floor(fl(d / w)) differs from it only where fl(d / w) rounds onto a
-# whole number; at or past it, every bin index is d // w alone.
-_EXACT_QUOTIENT = 2.0**51
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,7 @@ def _load_trace(buf: bytes, source: str) -> PacketTrace | None:
         table = _loadtxt(buf, _COLUMNS)
         if table is None:
             return None
-        columns = table["t"], table["s"]
+        columns = np.ascontiguousarray(table["t"]), np.ascontiguousarray(table["s"])
     try:
         return PacketTrace._from_columns(*columns, source=source)
     except (ValueError, NonMonotoneTimestamp):
@@ -265,14 +264,14 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
             "more than an array can index"
         )
     nbins = math.ceil(bins)
-    if bins < _EXACT_QUOTIENT:
-        quotient = ts - t0
-        quotient /= bin_width
-        idx = np.floor(quotient, out=np.empty(ts.size, np.int64), casting="unsafe")
-        edges = np.flatnonzero(quotient == idx)
-        idx[edges] = (ts[edges] - t0) // bin_width
-    else:
-        idx = ((ts - t0) // bin_width).astype(np.int64)
+    # Below 2**51 bins, d // w is the floor of the real d / w (d >= 0, w > 0),
+    # and floor(fl(d / w)) differs from it only where fl(d / w) rounds onto a
+    # whole number; no larger bin count can be allocated.
+    offsets = ts - t0
+    quotient = offsets / bin_width
+    idx = np.floor(quotient)
+    np.floor_divide(offsets, bin_width, out=idx, where=quotient == idx)
+    idx = idx.astype(np.int64)
     sizes = trace._sizes
     keep = idx < nbins
     if not keep.all():

@@ -17,7 +17,7 @@ from hurstkit import (
     parse_packet_trace,
     serialize_packet_trace,
 )
-from hurstkit import series, traces
+from hurstkit import series
 from hurstkit.series import _TRACE_LINE, _decimal_columns
 from hurstkit.traces import _load_trace, _scan
 
@@ -212,19 +212,6 @@ def test_bin_bytes_on_decimal_edges_matches_floor_divide(width):
         assert got.tobytes() == _bins_by_floor_divide(ts, sizes, width).tobytes()
 
 
-def test_bin_bytes_takes_floor_divide_from_2_51(monkeypatch):
-    # floor(d / w) is exact only while the quotients stay below 2**51; from
-    # there on every index is d // w, here forced by a lower bound
-    ts = np.array([0.0, 0.3, 0.6, 0.9, 1.2, 2.4, 3.0000000000000004])
-    sizes = np.arange(ts.size) + 1
-    monkeypatch.setattr(traces, "_EXACT_QUOTIENT", 4.0)
-    for width in (0.1, 0.3, 1 / 3):
-        got = bin_bytes(PacketTrace(ts, sizes), width).values
-        assert got.tobytes() == _bins_by_floor_divide(ts, sizes, width).tobytes()
-    monkeypatch.undo()
-    assert traces._EXACT_QUOTIENT == 2.0**51
-
-
 def test_interarrival_hand_example():
     series = interarrival_series(trace_of([(0.0, 1), (1.0, 1), (3.0, 1), (6.0, 1)]))
     assert series.values.tolist() == [1.0, 2.0, 3.0]
@@ -288,6 +275,8 @@ def test_parsed_trace_freezes_the_readers_columns():
         trace = parse_packet_trace(io.BytesIO(text))
         assert not trace._timestamps.flags.writeable and not trace._sizes.flags.writeable
         assert (trace._timestamps.dtype, trace._sizes.dtype) == (np.float64, np.int64)
+        for column in (trace._timestamps, trace._sizes):
+            assert column.flags.c_contiguous and column.base is None  # no writable array beneath
         assert trace.records == (PacketRecord(0.5, 64), PacketRecord(0.75, 32))
 
 
