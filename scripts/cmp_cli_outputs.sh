@@ -111,6 +111,9 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   hk matrix --config trace.cfg --format aligned --out trace_matrix.aligned
   hk matrix --source farima --n 4096 --d 0.2 --phi 0.3 --runs 2 --seed 7 --estimator rs --estimator pgram --format aligned > farima_matrix.aligned
   hk matrix --source ar1 --n 4096 --phi 0.5 --sigma 2 --corruption none --corruption trend --workers 2 > ar1_matrix.csv
+  # two threads interleave on the periodogram kept for the next call on the same series
+  hk generate --model fgn --h 0.75 --n 5001 --seed 18 --out fgn_odd.txt
+  hk matrix --source file --path fgn_odd.txt --filter none --filter linear --filter poly --workers 2 --estimator pgram --estimator lwhittle > odd_pgram_lw_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 10 --take 1500 --filter none --filter poly --estimator wavelet > tracesrc_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 20 --take 1200 --filter none --filter linear --estimator rs --estimator wavelet --format aligned --out tracesrc_bins.aligned
   hk matrix --source trace --path trace.txt --mode interarrival --skip 7 --take 4000 --filter none --filter log --estimator aggvar --estimator lwhittle --format aligned --out tracesrc_gaps.aligned

@@ -1,0 +1,90 @@
+"""Minor page faults and wall seconds per stage of a matrix-fgn-shaped pass.
+
+    PYTHONPATH=src python3 scripts/fault_profile.py [--seed 11] [--passes 5]
+
+Builds the matrix of perfbench's matrix-fgn workload (FGN H = 0.7,
+N = 2^17, 3 runs, corruptions none/ar1/sine/trend, all five estimators,
+one thread) with hurstkit alone and runs it in this process: one cold
+pass, then ``--passes`` warm passes.  Each pass is a plain ``run_matrix``
+call, with ``hurstkit.harness.estimate`` and ``_materialize_rows`` wrapped
+where ``run_matrix`` looks them up.  Prints one JSON object: the median
+over the warm passes of the minor faults (``getrusage`` ``ru_minflt``)
+and the wall seconds of row materialisation, of each estimator summed
+over its rows, of the rest of ``run_matrix`` and of the whole pass.  It
+reports and does not gate.
+
+Faults of the stages that still allocate series-length arrays follow the
+allocator's heap layout, which changes from process to process (with
+``PYTHONHASHSEED``, for one): compare several processes, not one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import statistics
+from time import perf_counter
+
+import hurstkit.harness as harness
+
+
+def _faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class _Meter:
+    """Faults and seconds summed per stage name."""
+
+    def __init__(self) -> None:
+        self.faults: dict[str, int] = {}
+        self.seconds: dict[str, float] = {}
+
+    def run(self, name: str, fn, *args):
+        f0, t0 = _faults(), perf_counter()
+        result = fn(*args)
+        t1, f1 = perf_counter(), _faults()
+        self.faults[name] = self.faults.get(name, 0) + f1 - f0
+        self.seconds[name] = self.seconds.get(name, 0.0) + t1 - t0
+        return result
+
+
+def _pass(spec) -> _Meter:
+    meter = _Meter()
+    estimate, materialize = harness.estimate, harness._materialize_rows
+    harness.estimate = lambda series, method: meter.run(method, estimate, series, method)
+    harness._materialize_rows = lambda spec, run: meter.run("rows", materialize, spec, run)
+    try:
+        meter.run("pass", harness.run_matrix, spec)
+    finally:
+        harness.estimate, harness._materialize_rows = estimate, materialize
+    stages = [name for name in meter.faults if name != "pass"]
+    meter.faults["run_matrix_self"] = meter.faults["pass"] - sum(meter.faults[name] for name in stages)
+    meter.seconds["run_matrix_self"] = meter.seconds["pass"] - sum(meter.seconds[name] for name in stages)
+    return meter
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=11, help="perfbench seed; the matrix seed is 1000 times it")
+    parser.add_argument("--passes", type=int, default=5, help="warm passes to take the median over")
+    args = parser.parse_args()
+    text = (
+        f"source = fgn\nn = {2**17}\nh = 0.7\nruns = 3\nseed = {1000 * args.seed}\n"
+        "corruption = none\ncorruption = ar1\ncorruption = sine\ncorruption = trend\n"
+        "estimator = all\nworkers = 1\n"
+    )
+    spec = harness.build_experiment_spec(harness.parse_config(text))
+    _pass(spec)  # the cold pass: imports, caches and the heap's first growth
+    warm = [_pass(spec) for _ in range(args.passes)]
+    report = {
+        "seed": args.seed,
+        "warm_passes": args.passes,
+        "minor_faults": {name: statistics.median(m.faults[name] for m in warm) for name in warm[0].faults},
+        "wall_s": {name: round(statistics.median(m.seconds[name] for m in warm), 4) for name in warm[0].seconds},
+    }
+    print(json.dumps(report, indent=2))
+
+
+if __name__ == "__main__":
+    main()

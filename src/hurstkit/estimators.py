@@ -201,16 +201,23 @@ _RS_STEPPED_BLOCKS = 512  # block count from which _rs_ratios steps every walk a
 
 def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
     """Mean R/S over the blocks of each size; 0 where every block is constant."""
+    # Two rows reused by every size: the deviations, then their squares and the
+    # stepped walks.  Series-length arrays allocated per size would be mapped and
+    # unmapped by the allocator each time, faulting on every page they touch.
+    scratch = np.empty((2, values.size))
     ratios = []
     for block in grid:
         nblocks = values.size // block
-        chunk = values[: nblocks * block].reshape(nblocks, block)
-        dev = chunk - (_row_sums(chunk) / block)[:, None]  # chunk.mean's own arithmetic
-        std = np.sqrt(_row_sums(dev * dev) / block)  # and chunk.std's
+        used = nblocks * block
+        chunk = values[:used].reshape(nblocks, block)
+        dev = scratch[0, :used].reshape(nblocks, block)
+        np.subtract(chunk, (_row_sums(chunk) / block)[:, None], out=dev)  # chunk.mean's own arithmetic
+        square = scratch[1, :used].reshape(nblocks, block)
+        std = np.sqrt(_row_sums(np.multiply(dev, dev, out=square)) / block)  # and chunk.std's
         if nblocks >= _RS_STEPPED_BLOCKS:
             # A per-row cumsum is latency-bound; stepping all walks at once vectorises
             # across blocks while each walk still adds left to right, so the bits match.
-            walks = np.empty((block, nblocks))
+            walks = scratch[1, :used].reshape(block, nblocks)
             walks[0] = dev[:, 0]
             for k in range(1, block):
                 np.add(walks[k - 1], dev[:, k], out=walks[k])
@@ -291,9 +298,12 @@ def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> Estim
 
 
 def _local_whittle_objective(
-    hurst: float, log_lam: np.ndarray, mean_log: float, power: np.ndarray
+    hurst: float, log_lam: np.ndarray, mean_log: float, power: np.ndarray, out: np.ndarray | None = None
 ) -> float:
-    scaled = power * np.exp((2.0 * hurst - 1.0) * log_lam)
+    """The objective; ``out``, shaped as ``log_lam``, is a work buffer to reuse."""
+    scaled = np.multiply(2.0 * hurst - 1.0, log_lam, out=out)
+    np.exp(scaled, out=scaled)
+    np.multiply(power, scaled, out=scaled)
     return float(np.log(scaled.mean()) - (2.0 * hurst - 1.0) * mean_log)
 
 
@@ -410,7 +420,8 @@ def local_whittle_minimize(
     log_lam = np.log(np.asarray(frequencies, dtype=np.float64))
     power = np.asarray(power, dtype=np.float64)
     mean_log = log_lam.mean()
-    return _fminbound(lambda h: _local_whittle_objective(h, log_lam, mean_log, power), lo, hi, tol)
+    out = np.empty_like(log_lam)
+    return _fminbound(lambda h: _local_whittle_objective(h, log_lam, mean_log, power, out), lo, hi, tol)
 
 
 def est_local_whittle(series: TimeSeries, m: int | None = None) -> EstimatorReport:

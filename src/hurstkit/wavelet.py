@@ -89,11 +89,23 @@ class DwtPyramid:
         return len(self.details)
 
 
-def _analysis_step(approx: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # row k holds approx[(2k + t) % n] for t < taps; np.resize repeats approx cyclically
+def _analysis_step(
+    approx: np.ndarray, h: np.ndarray, g: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaling and wavelet coefficients of one level.
+
+    Row k of the window block holds approx[(2k + t) % n] for t < taps; the
+    block is written into ``scratch``, a float64 buffer of at least
+    ``n // 2 * taps`` values.
+    """
     n = approx.size
     taps = h.size
-    windows = np.ascontiguousarray(sliding_window_view(np.resize(approx, n + taps), taps)[: n // 2 * 2 : 2])
+    windows = scratch[: n // 2 * taps].reshape(n // 2, taps)
+    whole = max(0, (n - taps) // 2 + 1)  # rows whose window does not wrap
+    if whole:
+        np.copyto(windows[:whole], sliding_window_view(approx, taps)[: 2 * whole : 2])
+    rows = np.arange(whole, n // 2)[:, None]
+    windows[whole:] = approx[(2 * rows + np.arange(taps)) % n]
     return windows @ h, windows @ g
 
 
@@ -110,6 +122,7 @@ def dwt(series: TimeSeries, order: int = 2, max_level: int | None = None) -> Dwt
 
     taps = h.size
     approx = np.asarray(series.values, dtype=np.float64)
+    scratch = np.empty(n // 2 * taps)  # every level's window block; the first is the largest
     contaminated = 0
     details: list[np.ndarray] = []
     clean_counts: list[int] = []
@@ -117,7 +130,7 @@ def dwt(series: TimeSeries, order: int = 2, max_level: int | None = None) -> Dwt
         if approx.size % 2:
             approx = approx[:-1]
             contaminated = max(0, contaminated - 1)
-        next_approx, detail = _analysis_step(approx, h, g)
+        next_approx, detail = _analysis_step(approx, h, g, scratch)
         # coefficient k reads inputs 2k..2k+taps-1; it is clean iff that
         # window avoids both the wrap and the contaminated tail
         clean = (approx.size - taps - contaminated) // 2 + 1

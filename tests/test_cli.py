@@ -250,7 +250,7 @@ def test_estimate_bandwidth_flag(tmp_path, capsys):
 
 def test_matrix_workers_flag_matches_serial(tmp_path, capsys):
     args = ["matrix", "--source", "iid", "--n", "2048", "--runs", "2", "--seed", "3",
-            "--estimator", "rs", "--estimator", "wavelet"]
+            "--estimator", "rs", "--estimator", "wavelet", "--estimator", "pgram", "--estimator", "lwhittle"]
     assert run_cli(*args) == 0
     serial = capsys.readouterr().out
     assert run_cli(*args, "--workers", "4") == 0

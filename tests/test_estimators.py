@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hurstkit as hk
@@ -19,6 +19,7 @@ from hurstkit import (
     local_whittle_minimize,
     loglog_fit,
 )
+from hurstkit.series import _row_sums
 
 
 # --- loglog_fit -----------------------------------------------------------
@@ -435,6 +436,82 @@ def test_rs_matches_the_per_row_reference(kind, n, n_min):
 )
 def test_rs_matches_the_per_row_reference_property(kind, log_n, n_min, seed):
     _assert_rs_matches_reference(_rs_series(kind, int(math.exp(log_n)), seed), n_min)
+
+
+# --- scratch buffers against the allocate-per-step forms -------------------
+
+
+def _rs_ratios_allocating(values, grid):
+    """_rs_ratios with fresh deviation, square and walk arrays for every block size."""
+    ratios = []
+    for block in grid:
+        nblocks = values.size // block
+        chunk = values[: nblocks * block].reshape(nblocks, block)
+        dev = chunk - (_row_sums(chunk) / block)[:, None]
+        std = np.sqrt(_row_sums(dev * dev) / block)
+        if nblocks >= estimators._RS_STEPPED_BLOCKS:
+            walks = np.empty((block, nblocks))
+            walks[0] = dev[:, 0]
+            for k in range(1, block):
+                np.add(walks[k - 1], dev[:, k], out=walks[k])
+            rng_ = walks.max(axis=0) - walks.min(axis=0)
+        else:
+            walks = np.cumsum(dev, axis=1, out=dev)
+            rng_ = walks.max(axis=1) - walks.min(axis=1)
+        ok = std > 0.0
+        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
+    return ratios
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["iid", "bytes", "step", "offset"]),
+    n=st.one_of(st.sampled_from([98_183, 2**17]), st.integers(64, 200_000)),
+    n_min=st.sampled_from([2, 10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="fgn", n=2**17, n_min=10, seed=1)
+@example(kind="iid", n=98_183, n_min=2, seed=2)
+@example(kind="bytes", n=4_097, n_min=2, seed=3)
+def test_rs_scratch_rows_match_the_allocating_form(kind, n, n_min, seed):
+    values = _rs_series(kind, n, seed)
+    grid = estimators._log_grid(n_min, max(n // 10, 2 * n_min), 30)
+    assert grid.min() < 16  # blocks summed as column adds by _row_sums
+    got = estimators._rs_ratios(values, grid)
+    assert [r.hex() for r in got] == [r.hex() for r in _rs_ratios_allocating(values, grid)]
+
+
+def _local_whittle_objective_allocating(hurst, log_lam, mean_log, power):
+    scaled = power * np.exp((2.0 * hurst - 1.0) * log_lam)
+    return float(np.log(scaled.mean()) - (2.0 * hurst - 1.0) * mean_log)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([98_183, 2**17]), st.integers(1000, 200_000)),
+    share=st.floats(0.0, 1.0),
+    hurst=st.floats(0.55, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=98_183, share=1.0, hurst=0.8, seed=11)
+@example(n=2**17, share=0.1, hurst=0.7, seed=12)
+@example(n=1001, share=0.0, hurst=0.6, seed=13)
+def test_local_whittle_work_buffer_matches_the_allocating_form(n, share, hurst, seed):
+    pgram = hk.periodogram(hk.gen_fgn(hk.FgnSpec(hurst=hurst, n=n, seed=seed)))
+    m = max(8, int(share * pgram.power.size))
+    lam, power = pgram.frequencies[:m], pgram.power[:m]
+    log_lam = np.log(lam)
+    mean_log = log_lam.mean()
+    want = estimators._fminbound(
+        lambda h: _local_whittle_objective_allocating(h, log_lam, mean_log, power), 0.01, 1.49, 1e-6
+    )
+    got = local_whittle_minimize(lam, power)
+    assert got.hex() == want.hex()
+    out = np.full_like(log_lam, np.nan)
+    for h in (0.01, 0.5, got, 1.49):  # one buffer over many evaluations, as in the minimiser
+        assert estimators._local_whittle_objective(h, log_lam, mean_log, power, out).hex() == (
+            _local_whittle_objective_allocating(h, log_lam, mean_log, power).hex()
+        )
 
 
 # --- aggregated variance against its plain per-size form -------------------

@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import hurstkit as hk
 import hurstkit.wavelet as wavelet
@@ -125,5 +129,52 @@ def test_analysis_step_matches_the_index_gather(order):
         approx[rng.random(n) < 0.2] = -0.0
         approx[rng.random(n) < 0.1] = 0.0
         for x in (approx, np.full(n, -0.0)):
-            for got, want in zip(wavelet._analysis_step(x, h, g), _reference_analysis_step(x, h, g)):
+            for got, want in zip(wavelet._analysis_step(x, h, g, np.empty(n // 2 * h.size)), _reference_analysis_step(x, h, g)):
                 assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), n
+
+
+# --- the work buffer against the allocate-per-level form -------------------
+
+
+def _analysis_step_allocating(approx, h, g):
+    """_analysis_step with a fresh cyclic copy (np.resize) and window block per level."""
+    n, taps = approx.size, h.size
+    windows = np.ascontiguousarray(sliding_window_view(np.resize(approx, n + taps), taps)[: n // 2 * 2 : 2])
+    return windows @ h, windows @ g
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [7, 1000, 98_182, 2**17])
+def test_analysis_step_matches_the_allocating_form_at_every_offset(order, n):
+    """The gemv over the windows gives the same bits wherever the scratch starts in a 64-byte line."""
+    h, g = daubechies_filters(order)
+    approx = np.random.default_rng(n).standard_normal(n)
+    want = [a.tobytes() for a in _analysis_step_allocating(approx, h, g)]
+    size = n // 2 * h.size
+    buf = np.empty(size + 16)
+    first = (-buf.ctypes.data % 64) // 8  # the first element on a 64-byte boundary
+    for offset in range(8):
+        scratch = buf[first + offset : first + offset + size]
+        scratch[:] = np.nan  # stale contents must not reach the output
+        got = wavelet._analysis_step(approx, h, g, scratch)
+        assert [a.tobytes() for a in got] == want, offset
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    order=st.integers(1, 4),
+    n=st.one_of(st.sampled_from([1000, 98_183, 2**17]), st.integers(8, 200_000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(order=1, n=2**17, seed=1)
+@example(order=2, n=98_183, seed=2)
+@example(order=3, n=1000, seed=3)
+@example(order=4, n=2**17 + 1, seed=4)
+def test_dwt_work_buffer_matches_the_allocating_form(order, n, seed):
+    series = TimeSeries(np.random.default_rng(seed).standard_normal(n))
+    got = dwt(series, order=order)
+    with mock.patch.object(wavelet, "_analysis_step", lambda a, h, g, scratch: _analysis_step_allocating(a, h, g)):
+        want = dwt(series, order=order)
+    assert [d.tobytes() for d in got.details] == [d.tobytes() for d in want.details]
+    assert got.approx.tobytes() == want.approx.tobytes()
+    assert got.clean_counts == want.clean_counts
