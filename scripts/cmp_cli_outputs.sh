@@ -48,6 +48,11 @@ run_all() (
   hk corrupt --kind ar1 --in fgn_2e17.txt --seed 15 --out corrupt_ar1_2e17.txt
   hk estimate --method lwhittle --in fgn_2e17.txt --out est_lw_fgn_2e17.csv
   hk estimate --method lwhittle --bandwidth 300 --in ar1.txt --out est_lw_ar1.csv
+  # the minimiser at each bound, where golden steps end in a tol1-sized step: 1.49 on a trend,
+  # 0.0100005 on a negative AR(1)
+  hk estimate --method lwhittle --bandwidth 8 --in corrupt_trend.txt --out est_lw_hi.csv
+  hk generate --model ar1 --phi -0.99 --n 8192 --seed 5 --out ar1_m099.txt
+  hk estimate --method lwhittle --in ar1_m099.txt --out est_lw_lo.csv
   # rows under 16 points are summed as column adds: aggvar's block sizes 2-13 on 2^17 points
   hk estimate --method aggvar --in fgn_2e17.txt --out est_aggvar_fgn_2e17.csv --dump-fit fit_aggvar_fgn_2e17.txt
   hk corrupt --kind ar1 --phi -0.99 --in fgn_2e17.txt --seed 17 --out corrupt_ar1_m099_2e17.txt

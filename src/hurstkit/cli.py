@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HurstkitError, OSError, ValueError) as exc:
+    except (HurstkitError, MemoryError, OSError, ValueError) as exc:
         print(f"hurstkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -317,94 +317,65 @@ def _fminbound(func: Callable[[float], float], x1: float, x2: float, xatol: floa
     """Brent's bounded minimiser (Brent 1973): golden-section steps with
     parabolic interpolation, at most 500 evaluations.
 
-    A line-for-line port of scipy 1.17's ``_minimize_scalar_bounded``
-    (``minimize_scalar(method="bounded")``; BSD-3-Clause, Copyright (c)
-    2001-2002 Enthought, Inc. and 2003- SciPy Developers), without its
-    printing and result object, so every ``x`` it returns has the same bits.
+    scipy 1.17's ``_minimize_scalar_bounded`` (``minimize_scalar(method=
+    "bounded")``; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
+    2003- SciPy Developers) on plain floats, without its printing and result
+    object.  Every floating-point operation keeps scipy's order, so every
+    ``x`` it returns has the same bits.
     """
-    maxfun = 500
-    if not (np.isfinite(x1) and np.isfinite(x2)):
+    if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("Optimization bounds must be finite scalars.")
     if x1 > x2:
         raise ValueError("The lower bound exceeds the upper bound.")
-
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = func(xf)
     rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # Check for parabolic fit
-        if np.abs(e) > tol1:
-            golden = 0
+    for _ in range(499):  # 500 evaluations in all, with the first
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        parabolic = abs(e) > tol1
+        if parabolic:
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
             p = (xf - fulc) * q - (xf - nfc) * r
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:  # do a golden-section step
-                golden = 1
-
-        if golden:  # do a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
+            q = abs(q)
+            r, e = e, rat
+            # take the parabola's step if it is under half the step before last and lands in (a, b)
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+        if parabolic:
+            rat = (p + 0.0) / q
+            x = xf + rat
+            if x - a < tol2 or b - x < tol2:
+                rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+        else:
+            e = a - xf if xf >= xm else b - xf
             rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
         fu = func(x)
-        num += 1
-
         if fu <= fx:
             if x >= xf:
                 a = xf
             else:
                 b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
         else:
             if x < xf:
                 a = x
             else:
                 b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxfun:
-            break
     return float(xf)
 
 

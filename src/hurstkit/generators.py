@@ -87,6 +87,10 @@ class FarimaSpec:
             raise SeriesTooShort(f"FARIMA synthesis needs N >= 16, got {self.n}")
         if not (self.sigma > 0):
             raise ValueError(f"innovation std must be positive, got {self.sigma}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"innovation std must be finite, got {self.sigma}")
+        if not all(map(math.isfinite, self.ma)):
+            raise ValueError(f"MA coefficients must be finite, got {self.ma}")
         self._check_ar_stationarity()
 
     def _check_ar_stationarity(self) -> None:
@@ -94,12 +98,12 @@ class FarimaSpec:
         if p == 0:
             return
         if p == 1:
-            if abs(self.ar[0]) >= 1.0:
+            if not abs(self.ar[0]) < 1.0:
                 raise NonStationaryAR(f"AR(1) needs |phi_1| < 1, got {self.ar[0]}")
             return
         if p == 2:
             phi1, phi2 = self.ar
-            if phi1 + phi2 >= 1.0 or phi2 - phi1 >= 1.0 or abs(phi2) >= 1.0:
+            if not (phi1 + phi2 < 1.0 and phi2 - phi1 < 1.0 and abs(phi2) < 1.0):
                 raise NonStationaryAR(
                     f"AR(2) stationarity triangle violated: phi=({phi1}, {phi2})"
                 )
@@ -125,12 +129,14 @@ class Ar1Spec:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if abs(self.phi) >= 1.0:
+        if not abs(self.phi) < 1.0:
             raise ExplosiveAR(f"AR(1) needs |phi| < 1, got {self.phi}")
         if self.n < 1:
             raise SeriesTooShort(f"AR(1) needs N >= 1, got {self.n}")
         if not (self.sigma > 0):
             raise ValueError(f"innovation std must be positive, got {self.sigma}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"innovation std must be finite, got {self.sigma}")
 
 
 def gen_iid_gaussian(n: int, seed: int) -> TimeSeries:

@@ -130,40 +130,33 @@ class GeneratorSource:
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
         self._spec(0)
 
-    def _spec(self, seed: int) -> tuple[Callable[[Any], TimeSeries], Any]:
-        """(generator, spec) for one seed; building the spec validates the parameters."""
+    def _spec(self, seed: int) -> tuple[Callable[[Any], TimeSeries], Any, str]:
+        """(generator, spec, description) for one seed; building the spec validates the parameters."""
         if self.model == "fgn":
-            return gen_fgn, FgnSpec(hurst=self.hurst, n=self.n, seed=seed)
+            return gen_fgn, FgnSpec(hurst=self.hurst, n=self.n, seed=seed), f"{self.n} points FGN H={self.hurst:g}"
         if self.model == "farima":
             if len(self.phi) > 2:
                 raise ConfigError(f"a farima source takes at most 2 phi, got {len(self.phi)}")
-            return gen_farima, FarimaSpec(
-                d=self.d, n=self.n, seed=seed, ar=self.phi, ma=self.theta, sigma=self.sigma
-            )
-        if self.model == "ar1":
-            if len(self.phi) > 1:
-                raise ConfigError(f"an ar1 source takes one phi, got {len(self.phi)}")
-            phi = self.phi[0] if self.phi else 0.9
-            return gen_ar1, Ar1Spec(phi=phi, n=self.n, seed=seed, sigma=self.sigma)
-        if self.n < 1:
-            raise SeriesTooShort(f"need N >= 1, got {self.n}")
-        return (lambda s: gen_iid_gaussian(self.n, s)), seed
-
-    def make(self, seed: int) -> TimeSeries:
-        generate, spec = self._spec(seed)
-        return generate(spec)
-
-    def describe(self) -> str:
-        if self.model == "fgn":
-            return f"{self.n} points FGN H={self.hurst:g}"
-        if self.model == "farima":
-            return (
+            spec = FarimaSpec(d=self.d, n=self.n, seed=seed, ar=self.phi, ma=self.theta, sigma=self.sigma)
+            return gen_farima, spec, (
                 f"{self.n} points FARIMA({len(self.phi)},d,{len(self.theta)}) "
                 f"d={self.d:g} phi={list(self.phi)} theta={list(self.theta)}"
             )
         if self.model == "ar1":
-            return f"{self.n} points AR(1) phi={self._spec(0)[1].phi:g}"
-        return f"{self.n} points iid Gaussian"
+            if len(self.phi) > 1:
+                raise ConfigError(f"an ar1 source takes one phi, got {len(self.phi)}")
+            spec = Ar1Spec(phi=self.phi[0] if self.phi else 0.9, n=self.n, seed=seed, sigma=self.sigma)
+            return gen_ar1, spec, f"{self.n} points AR(1) phi={spec.phi:g}"
+        if self.n < 1:
+            raise SeriesTooShort(f"need N >= 1, got {self.n}")
+        return (lambda s: gen_iid_gaussian(self.n, s)), seed, f"{self.n} points iid Gaussian"
+
+    def make(self, seed: int) -> TimeSeries:
+        generate, spec, _ = self._spec(seed)
+        return generate(spec)
+
+    def describe(self) -> str:
+        return self._spec(0)[2]
 
 
 @contextmanager

@@ -52,7 +52,7 @@ class CorruptionKind:
     def __post_init__(self) -> None:
         if self.name not in CORRUPTION_NAMES:
             raise ValueError(f"unknown corruption {self.name!r}")
-        if abs(self.phi) >= 1.0:
+        if not abs(self.phi) < 1.0:
             raise ExplosiveAR(f"corruption AR(1) needs |phi| < 1, got {self.phi}")
         if self.cycles < 1:
             raise ValueError(f"sine corruption needs cycles >= 1, got {self.cycles}")

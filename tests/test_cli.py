@@ -63,6 +63,17 @@ def test_generate_matches_library(tmp_path):
         assert np.array_equal(series.values, want.values), flags
 
 
+def test_corrupt_ar1_phi_matches_library_bytes(tmp_path):
+    """A config cannot give the ar1 corruption's phi, so this checks the flag's path alone."""
+    src, out = tmp_path / "src.txt", tmp_path / "out.txt"
+    assert run_cli("generate", "--model", "fgn", "--n", "512", "--seed", "3", "--out", str(src)) == 0
+    assert run_cli("corrupt", "--kind", "ar1", "--phi", "0.5", "--seed", "4", "--in", str(src), "--out", str(out)) == 0
+    with open(src) as fh:
+        want = io.StringIO()
+        hk.write_series(hk.corrupt(hk.read_series(fh), hk.CorruptionKind("ar1", phi=0.5), seed=4), want)
+    assert out.read_bytes() == want.getvalue().encode("ascii")
+
+
 def test_corrupt_and_filter_commands(tmp_path):
     src = tmp_path / "src.txt"
     run_cli("generate", "--model", "iid", "--n", "2000", "--seed", "3", "--out", str(src))
@@ -283,10 +294,15 @@ def _write(path, data: bytes):
                    "--bin-width", "1e-300"],
         lambda d: ["matrix", "--source", "trace", "--path", _write(d / "t.txt", b"0.0 40\n0.4 576\n"),
                    "--mode", "bins", "--bin-width", "1e-300"],
+        # 10**15 values need petabytes, beyond any address space: numpy refuses at once
+        lambda d: ["generate", "--model", "iid", "--n", str(10**15)],
+        lambda d: ["generate", "--model", "fgn", "--n", str(10**15)],
+        lambda d: ["generate", "--model", "ar1", "--n", str(10**15)],
+        lambda d: ["matrix", "--source", "iid", "--n", str(10**15)],
     ],
     ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii",
          "bandwidth-without-lwhittle", "dump-fit-all", "dump-fit-lwhittle", "dump-fit-is-out",
-         "ingest-bins-overflow", "matrix-trace-bins-overflow"],
+         "ingest-bins-overflow", "matrix-trace-bins-overflow", "iid-1e15", "fgn-1e15", "ar1-1e15", "matrix-1e15"],
 )
 def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
     assert run_cli(*argv(tmp_path)) == 2
@@ -371,10 +387,21 @@ def test_matrix_flag_value_reports_config_parser_message(capsys, argv):
         (["corrupt", "--kind", "sine", "--cycles", "3", "--seed", "0"], "key 'seed' is not read by transform 'sine'"),
         (["estimate", "--method", "rs", "--in", "{missing}", "--out", "{missing}.csv", "--dump-fit", "{missing}.csv"],
          "--dump-fit and --out name the same file"),
+        (["corrupt", "--kind", "ar1", "--phi", "1.5"], "corruption AR(1) needs |phi| < 1, got 1.5"),
+        (["corrupt", "--kind", "ar1", "--phi", "nan"], "corruption AR(1) needs |phi| < 1, got nan"),
+        (["generate", "--model", "ar1", "--n", "100", "--phi", "nan"], "AR(1) needs |phi| < 1, got nan"),
+        (["generate", "--model", "ar1", "--n", "100", "--sigma", "inf"], "innovation std must be finite, got inf"),
+        (["generate", "--model", "farima", "--n", "100", "--theta", "inf"],
+         "MA coefficients must be finite, got (inf,)"),
+        (["matrix", "--source", "ar1", "--n", "4096", "--phi", "nan"], "AR(1) needs |phi| < 1, got nan"),
+        (["matrix", "--source", "farima", "--n", "4096", "--phi", "0.3", "--phi", "nan"],
+         "AR(2) stationarity triangle violated: phi=(0.3, nan)"),
     ],
     ids=["fgn-d", "fgn-sigma", "ar1-theta", "ar1-two-phi", "trend-phi", "trend-cycles", "ar1-cycles", "log-degree",
          "file-h", "interarrival-width", "width-0", "width-nan", "farima-three-phi", "corrupt-ar1-two-phi",
-         "corrupt-phi-unparsable", "trend-seed", "sine-seed", "sine-cycles-seed-0", "dump-fit-is-out"],
+         "corrupt-phi-unparsable", "trend-seed", "sine-seed", "sine-cycles-seed-0", "dump-fit-is-out",
+         "corrupt-phi-1.5", "corrupt-phi-nan", "ar1-phi-nan", "ar1-sigma-inf", "farima-theta-inf",
+         "matrix-ar1-phi-nan", "matrix-farima-phi-nan"],
 )
 def test_unread_parameters_are_refused_before_the_input_is_read(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.txt")

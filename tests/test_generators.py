@@ -176,6 +176,14 @@ def test_farima_ar_stationarity_checks():
         FarimaSpec(d=0.2, n=64, seed=0, ar=(0.0, -1.0))  # |phi2| >= 1
     with pytest.raises(hk.NonStationaryAR):
         FarimaSpec(d=0.2, n=64, seed=0, ar=(0.1, 0.1, 0.1))  # p > 2 unchecked
+    for ar in [(math.nan,), (math.inf,), (0.3, math.nan), (math.nan, 0.0), (-math.inf, 0.0)]:
+        with pytest.raises(hk.NonStationaryAR):
+            FarimaSpec(d=0.2, n=64, seed=0, ar=ar)
+    for ma in [(math.inf,), (0.1, math.nan)]:
+        with pytest.raises(ValueError, match="MA coefficients must be finite"):
+            FarimaSpec(d=0.2, n=64, seed=0, ma=ma)
+    with pytest.raises(ValueError, match="innovation std must be finite, got inf"):
+        FarimaSpec(d=0.2, n=64, seed=0, sigma=math.inf)
     spec = FarimaSpec(d=0.2, n=64, seed=0, ar=(0.1, 0.1, 0.1), allow_unchecked_ar=True)
     assert gen_farima(spec).values.shape == (64,)
 
@@ -214,6 +222,13 @@ def test_ar1_explosive_rejected():
         Ar1Spec(phi=1.0, n=100, seed=0)
     with pytest.raises(hk.ExplosiveAR):
         Ar1Spec(phi=-1.2, n=100, seed=0)
+    for phi in [math.nan, math.inf, -math.inf]:
+        with pytest.raises(hk.ExplosiveAR, match=f"AR\\(1\\) needs \\|phi\\| < 1, got {phi}"):
+            Ar1Spec(phi=phi, n=100, seed=0)
+    with pytest.raises(ValueError, match="innovation std must be finite, got inf"):
+        Ar1Spec(phi=0.5, n=100, seed=0, sigma=math.inf)
+    with pytest.raises(ValueError, match="innovation std must be positive, got nan"):
+        Ar1Spec(phi=0.5, n=100, seed=0, sigma=math.nan)
 
 
 def test_ar1_deterministic():

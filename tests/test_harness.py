@@ -305,6 +305,11 @@ def test_config_sine_cycles_flow_to_corruption():
         ("source = fgn\nn = 8\n", hk.SeriesTooShort, "N >= 16"),
         ("source = iid\nn = 0\n", hk.SeriesTooShort, "N >= 1"),
         ("source = ar1\nn = 50\nphi = 0.5\nphi = 0.3\n", hk.ConfigError, "an ar1 source takes one phi, got 2"),
+        ("source = ar1\nn = 4096\nphi = nan\n", hk.ExplosiveAR, "AR\\(1\\) needs \\|phi\\| < 1, got nan"),
+        ("source = ar1\nn = 4096\nsigma = inf\n", ValueError, "innovation std must be finite, got inf"),
+        ("source = farima\nn = 4096\nphi = 0.3\nphi = nan\n", hk.NonStationaryAR, "triangle violated"),
+        ("source = farima\nn = 4096\ntheta = inf\n", ValueError, "MA coefficients must be finite"),
+        ("source = farima\nn = 4096\nsigma = inf\n", ValueError, "innovation std must be finite, got inf"),
     ],
 )
 def test_generator_parameters_rejected_when_spec_is_built(body, error, match):
@@ -338,8 +343,11 @@ def test_a_negative_seed_is_refused():
         ("source = bogus\nn = 4096\n", "unknown source 'bogus'"),
         ("n = 4096\n", "config needs a 'source' (fgn|farima|ar1|iid|file|trace)"),
         ("source = trace\npath = x\nmode = bogus\n", "trace mode must be 'bins' or 'interarrival', got 'bogus'"),
+        ("= 5\n", "line 1: empty key or value in '= 5'"),
+        ("n =\n", "line 1: empty key or value in 'n ='"),
+        ("source = iid\nn = 2048\nworkers = 0\n", "workers must be >= 1, got 0"),
     ],
-    ids=["unknown-source", "no-source", "unknown-trace-mode"],
+    ids=["unknown-source", "no-source", "unknown-trace-mode", "empty-key", "empty-value", "workers-0"],
 )
 def test_build_source_refusals(body, message):
     with pytest.raises(hk.ConfigError) as exc:

@@ -94,8 +94,12 @@ def test_local_whittle_minimize_matches_scipy_bounded(kind, log2_n, seed, bandwi
         (lambda x: (x - 2) * x * (x + 2) ** 2, -3.0, -1.0, 1e-5),
         (lambda x: math.cos(7 * x) + 0.1 * x, 0.0, 10.0, 1e-9),
         (lambda x: 0.0, 2.0, 2.0, 1e-6),  # empty interval
+        (lambda x: math.nan, 0.01, 1.49, 1e-6),  # no comparison ever holds
+        (lambda x: math.inf, 0.01, 1.49, 1e-6),  # inf - inf in the parabola
+        (lambda x: math.nan if x > 0.7 else (x - 0.9) ** 2, 0.01, 1.49, 1e-6),
+        (lambda x: 0.0 if x < 0.42 else 1.0, 0.01, 1.49, 1e-6),  # step
     ],
-    ids=["at-lo", "at-hi", "flat", "cubic", "multimodal", "point"],
+    ids=["at-lo", "at-hi", "flat", "cubic", "multimodal", "point", "nan", "inf", "nan-right", "step"],
 )
 def test_fminbound_matches_scipy_on_synthetic_objectives(func, lo, hi, xatol):
     want, _ = scipy_fminbound(func, lo, hi, xatol)

@@ -3,8 +3,10 @@
 ``perfbench/tracer.py`` wraps functions where the program looks them up
 (``hurstkit.cli.gen_fgn``, ``hurstkit.cli.run_matrix``, ...), so those
 names must stay importable there and the CLI must keep calling through
-them.  This runs a tiny ``generate`` and ``matrix`` under the tracer and
-checks that the spans arrive.
+them.  This runs tiny ``generate``, ``matrix``, ``ingest``, ``acf`` and
+``estimate`` commands under the tracer and checks that the spans arrive,
+so a refactor that bypasses a lookup site cannot silently zero a per-layer
+metric.
 """
 
 from pathlib import Path
@@ -37,3 +39,28 @@ def test_generate_and_matrix_record_their_spans(tracer, tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {"generators.fgn", "harness.config", "harness.run_matrix", "harness.cell"} <= names
     assert tracer.counts["harness.cells"] == 1
+
+
+def test_every_lookup_site_records_its_span(tracer, tmp_path):
+    from perfbench.tracer import _SITES
+
+    trace = tmp_path / "trace.txt"
+    trace.write_text("".join(f"{i * 0.01:.2f} {40 + i % 3}\n" for i in range(4000)), encoding="ascii")
+    bins, out = str(tmp_path / "bins.txt"), str(tmp_path / "out.txt")
+    commands = [
+        ["generate", "--model", "fgn", "--n", "64", "--seed", "1", "--out", out],
+        ["generate", "--model", "farima", "--n", "64", "--seed", "1", "--out", out],
+        ["matrix", "--source", "fgn", "--n", "2048", "--corruption", "none", "--corruption", "ar1",
+         "--corruption", "sine", "--corruption", "trend", "--out", out],
+        ["ingest", "--trace", str(trace), "--mode", "bins", "--bin-width", "0.02", "--out", bins],
+        ["matrix", "--source", "file", "--path", bins, "--filter", "none", "--filter", "log",
+         "--filter", "linear", "--filter", "poly", "--out", out],
+        ["acf", "--in", bins, "--max-lag", "10", "--out", out],
+        ["estimate", "--method", "rs", "--in", bins, "--out", out],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    names = {span[0] for span in tracer.spans}
+    sites = {name for _, _, name in _SITES}
+    assert len(sites) == 24
+    assert sites - names == set()

@@ -255,6 +255,9 @@ def test_kind_validation():
         FilterKind(name="bogus")
     with pytest.raises(ValueError):
         CorruptionKind.sine(cycles=0)
+    for phi in [1.5, math.nan, -math.inf]:
+        with pytest.raises(hk.ExplosiveAR, match=f"corruption AR\\(1\\) needs \\|phi\\| < 1, got {phi}"):
+            CorruptionKind.ar1(phi)
     with pytest.raises(ValueError):
         FilterKind.poly_detrend(degree=0)
 
