@@ -122,6 +122,17 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 10 --take 1500 --filter none --filter poly --estimator wavelet > tracesrc_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 20 --take 1200 --filter none --filter linear --estimator rs --estimator wavelet --format aligned --out tracesrc_bins.aligned
   hk matrix --source trace --path trace.txt --mode interarrival --skip 7 --take 4000 --filter none --filter log --estimator aggvar --estimator lwhittle --format aligned --out tracesrc_gaps.aligned
+  # refused commands: what each prints and its exit code are compared too
+  refuse() { name=$1; shift; { hk "$@" && echo "exit 0" || echo "exit $?"; } > refused_$name.txt 2>&1; }
+  printf 'source = iid\nn = 100\nbogus = 1\n' > unknown_key.cfg
+  refuse unknown_key matrix --config unknown_key.cfg
+  printf 'source = iid\nn = 100\nn = 200\n' > repeated_key.cfg
+  refuse repeated_key matrix --config repeated_key.cfg
+  printf '1.5\n2.5\n\351\n3.5\n' > non_ascii.txt
+  refuse non_ascii estimate --method rs --in non_ascii.txt
+  printf '1\n0\n2\n' > zeros.txt
+  refuse log_zeros filter --kind log --in zeros.txt
+  refuse n_1e15 generate --model fgn --n 1000000000000000
 )
 
 run_all "$old" "$work/old"

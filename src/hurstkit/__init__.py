@@ -59,7 +59,6 @@ from .estimators import (
     loglog_fit,
 )
 from .traces import (
-    PacketRecord,
     PacketTrace,
     bin_bytes,
     interarrival_series,

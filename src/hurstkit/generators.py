@@ -113,11 +113,6 @@ class FarimaSpec:
                 f"AR order {p} > 2 is not validated; pass allow_unchecked_ar=True to proceed"
             )
 
-    @property
-    def hurst(self) -> float:
-        """Implied Hurst parameter H = d + 1/2."""
-        return self.d + 0.5
-
 
 @dataclass(frozen=True)
 class Ar1Spec:

@@ -153,7 +153,10 @@ class GeneratorSource:
 
     def make(self, seed: int) -> TimeSeries:
         generate, spec, _ = self._spec(seed)
-        return generate(spec)
+        try:
+            return generate(spec)
+        except MemoryError:
+            raise ConfigError(f"key 'n': {self.n} points do not fit in memory") from None
 
     def describe(self) -> str:
         return self._spec(0)[2]

@@ -40,7 +40,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self._values.size
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._values)
 
     def __repr__(self) -> str:
         return f"TimeSeries(n={len(self)})"

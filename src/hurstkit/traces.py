@@ -44,7 +44,6 @@ and there the division, floor and compare are paid on top of ``//``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -59,7 +58,6 @@ from .errors import (
 from .series import _TRACE_LINE, _WRITE_SLICE, TimeSeries, _decimal_columns, _loadtxt, _parse_text
 
 __all__ = [
-    "PacketRecord",
     "PacketTrace",
     "parse_packet_trace",
     "serialize_packet_trace",
@@ -70,26 +68,6 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_BINS = int(np.iinfo(np.intp).max) // 8  # float64 bins whose byte count fits in intp
 _COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One packet: arrival time in seconds and size in bytes.
-
-    Fields are coerced to plain ``float`` and ``int``, so a record built
-    from NumPy scalars prints and serializes like any other; a size that
-    is not a whole number is rejected.
-    """
-
-    timestamp: float
-    size: int
-
-    def __post_init__(self) -> None:
-        size = int(self.size)
-        if size != self.size:
-            raise ValueError(f"packet size must be a whole number, got {self.size!r}")
-        object.__setattr__(self, "timestamp", float(self.timestamp))
-        object.__setattr__(self, "size", size)
 
 
 class PacketTrace:
@@ -157,15 +135,8 @@ class PacketTrace:
 
     @property
     def sizes(self) -> np.ndarray:
-        """Packet sizes as a new float64 array (the int64 column stays exact)."""
-        return self._sizes.astype(np.float64)
-
-    @property
-    def records(self) -> tuple[PacketRecord, ...]:
-        """The packets as :class:`PacketRecord` objects, built on each access."""
-        return tuple(
-            PacketRecord(t, s) for t, s in zip(self._timestamps.tolist(), self._sizes.tolist())
-        )
+        """Read-only int64 packet sizes in bytes."""
+        return self._sizes
 
 
 def _scan(lines: Iterable[str]) -> tuple[list[float], list[int]]:

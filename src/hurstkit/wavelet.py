@@ -84,10 +84,6 @@ class DwtPyramid:
     clean_counts: tuple[int, ...]
     order: int
 
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
 
 def _analysis_step(
     approx: np.ndarray, h: np.ndarray, g: np.ndarray, scratch: np.ndarray

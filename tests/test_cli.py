@@ -298,18 +298,23 @@ def _write(path, data: bytes):
         lambda d: ["generate", "--model", "iid", "--n", str(10**15)],
         lambda d: ["generate", "--model", "fgn", "--n", str(10**15)],
         lambda d: ["generate", "--model", "ar1", "--n", str(10**15)],
+        lambda d: ["generate", "--model", "farima", "--n", str(10**15)],
         lambda d: ["matrix", "--source", "iid", "--n", str(10**15)],
     ],
     ids=["cycles0", "degree0", "sigma0", "config-degree0", "trace-non-ascii", "series-non-ascii",
          "bandwidth-without-lwhittle", "dump-fit-all", "dump-fit-lwhittle", "dump-fit-is-out",
-         "ingest-bins-overflow", "matrix-trace-bins-overflow", "iid-1e15", "fgn-1e15", "ar1-1e15", "matrix-1e15"],
+         "ingest-bins-overflow", "matrix-trace-bins-overflow", "iid-1e15", "fgn-1e15", "ar1-1e15",
+         "farima-1e15", "matrix-1e15"],
 )
 def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
-    assert run_cli(*argv(tmp_path)) == 2
+    args = argv(tmp_path)
+    assert run_cli(*args) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hurstkit: error: ")
     assert captured.out == ""
+    if str(10**15) in args:
+        assert lines[0] == f"hurstkit: error: key 'n': {10**15} points do not fit in memory"
 
 
 def test_non_ascii_byte_is_reported_at_its_file_offset(tmp_path, capsys):

@@ -234,6 +234,19 @@ def test_wavelet_trend_invariance(medium_iid):
     assert abs(h1 - h0) < 1e-6
 
 
+# Reversal leaves |X(f)| unchanged, so the spectral estimates stay put.  R/S and
+# aggregated variance drop a different tail and db2 is asymmetric: not asserted.
+@pytest.mark.parametrize("n", [1000, 1001, 4096, 5000, 2**14, 30000])
+@pytest.mark.parametrize("hurst", [0.55, 0.8])
+def test_spectral_estimates_ignore_time_reversal(n, hurst):
+    for seed in range(8):
+        series = hk.gen_fgn(hk.FgnSpec(hurst=hurst, n=n, seed=seed))
+        reversed_ = TimeSeries(series.values[::-1])
+        assert abs(est_periodogram(reversed_).hurst - est_periodogram(series).hurst) <= 1e-12
+        # local Whittle is only as exact as its minimiser's xatol
+        assert abs(est_local_whittle(reversed_).hurst - est_local_whittle(series).hurst) <= 1e-6
+
+
 @pytest.fixture(scope="module")
 def wavelet_base():
     series = hk.gen_fgn(hk.FgnSpec(hurst=0.7, n=2048, seed=17))

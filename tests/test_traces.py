@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import hurstkit as hk
 from hurstkit import (
-    PacketRecord,
     PacketTrace,
     bin_bytes,
     interarrival_series,
@@ -28,9 +27,8 @@ def trace_of(pairs, source="t"):
 
 def test_parse_two_records():
     trace = parse_packet_trace(io.StringIO("0.0 64\n0.5 128\n"))
-    assert len(trace) == 2
-    assert trace.records[0] == PacketRecord(0.0, 64)
-    assert trace.records[1] == PacketRecord(0.5, 128)
+    assert trace.timestamps.tolist() == [0.0, 0.5]
+    assert trace.sizes.tolist() == [64, 128]
 
 
 def test_parse_allows_comments_and_blanks():
@@ -68,7 +66,8 @@ def test_round_trip_identity():
     buf = io.StringIO()
     serialize_packet_trace(trace, buf)
     back = parse_packet_trace(io.StringIO(buf.getvalue()))
-    assert back.records == trace.records
+    assert back.timestamps.tolist() == trace.timestamps.tolist()
+    assert back.sizes.tolist() == trace.sizes.tolist()
 
 
 def test_bin_bytes_hand_example():
@@ -243,8 +242,9 @@ def test_columns_are_read_only_and_typed():
     trace = trace_of([(0.0, 10), (0.5, 20)])
     assert trace.timestamps is trace.timestamps
     assert trace.timestamps.dtype == np.float64 and not trace.timestamps.flags.writeable
-    assert trace.sizes.dtype == np.float64
-    assert trace.sizes.tolist() == [10.0, 20.0]
+    assert trace.sizes is trace.sizes
+    assert trace.sizes.dtype == np.int64 and not trace.sizes.flags.writeable
+    assert trace.sizes.tolist() == [10, 20]
     assert isinstance(vars(PacketTrace)["timestamps"], property)
     assert isinstance(vars(PacketTrace)["sizes"], property)
     with pytest.raises(ValueError):
@@ -267,7 +267,8 @@ def test_constructor_copies_the_callers_columns():
     trace = PacketTrace(ts, sizes)
     ts[0] = 0.75
     sizes[1] = 99
-    assert trace.records == (PacketRecord(0.0, 10), PacketRecord(0.5, 20), PacketRecord(1.0, 30))
+    assert trace.timestamps.tolist() == [0.0, 0.5, 1.0]
+    assert trace.sizes.tolist() == [10, 20, 30]
 
 
 def test_parsed_trace_freezes_the_readers_columns():
@@ -277,7 +278,7 @@ def test_parsed_trace_freezes_the_readers_columns():
         assert (trace._timestamps.dtype, trace._sizes.dtype) == (np.float64, np.int64)
         for column in (trace._timestamps, trace._sizes):
             assert column.flags.c_contiguous and column.base is None  # no writable array beneath
-        assert trace.records == (PacketRecord(0.5, 64), PacketRecord(0.75, 32))
+        assert trace.timestamps.tolist() == [0.5, 0.75] and trace.sizes.tolist() == [64, 32]
 
 
 @pytest.mark.parametrize(
@@ -297,17 +298,16 @@ def test_adopted_columns_are_checked(timestamps, sizes, error):
 
 
 def test_fractional_sizes_are_rejected():
-    assert PacketTrace([0.0], np.array([64.0])).records == (PacketRecord(0.0, 64),)
+    assert PacketTrace([0.0], np.array([64.0])).sizes.tolist() == [64]
     with pytest.raises(ValueError, match="whole"):
         PacketTrace([0.0], [64.5])
-    with pytest.raises(ValueError, match="whole"):
-        PacketRecord(0.0, 64.5)
 
 
 def test_parse_accepts_a_list_of_lines():
     with_newlines = parse_packet_trace(["0.0 64\n", "# c\n", "0.5 128\n"])
     bare = parse_packet_trace(["0.0 64", "# c", "0.5 128"])
-    assert with_newlines.records == bare.records == (PacketRecord(0.0, 64), PacketRecord(0.5, 128))
+    for trace in (with_newlines, bare):
+        assert trace.timestamps.tolist() == [0.0, 0.5] and trace.sizes.tolist() == [64, 128]
     with pytest.raises(hk.MalformedLine, match="line 3"):
         parse_packet_trace(["0.0 64", "", "x 1"])
 
@@ -318,18 +318,25 @@ def test_size_beyond_int64_is_rejected():
     with pytest.raises(hk.MalformedLine, match="line 1, column 2"):
         parse_packet_trace(io.StringIO("0.5 9223372036854775808\n"))
     top = parse_packet_trace(io.StringIO("0.5 9223372036854775807\n"))
-    assert top.records == (PacketRecord(0.5, 2**63 - 1),)
+    assert top.sizes.tolist() == [2**63 - 1]
+
+
+def test_largest_size_survives_parse_serialize_parse():
+    first = parse_packet_trace(io.StringIO("0.5 9223372036854775807\n0.75 0\n"))
+    buf = io.StringIO()
+    serialize_packet_trace(first, buf)
+    assert buf.getvalue() == "0.5 9223372036854775807\n0.75 0\n"
+    again = parse_packet_trace(io.StringIO(buf.getvalue()))
+    assert again.sizes.dtype == np.int64
+    assert again.sizes.tolist() == [2**63 - 1, 0]
 
 
 def test_numpy_scalars_round_trip():
-    rec = PacketRecord(np.float64(0.5), np.int64(10))
-    assert type(rec.timestamp) is float and type(rec.size) is int
-    assert repr(rec) == "PacketRecord(timestamp=0.5, size=10)"
     trace = PacketTrace(np.array([np.float64(0.5), np.float64(0.75)]), np.array([10, 0], dtype=np.int64))
     buf = io.StringIO()
     serialize_packet_trace(trace, buf)
     assert buf.getvalue() == "0.5 10\n0.75 0\n"
-    assert parse_packet_trace(io.StringIO(buf.getvalue())).records == trace.records
+    assert parse_packet_trace(io.StringIO(buf.getvalue())).sizes.tolist() == trace.sizes.tolist()
 
 
 def _outcome(parse, text):
@@ -349,17 +356,17 @@ def _by_scanner(text):
 
 def _by_parser(text):
     trace = parse_packet_trace(io.StringIO(text))
-    return _exact(trace.timestamps.tolist(), (r.size for r in trace.records))
+    return _exact(trace.timestamps.tolist(), trace.sizes.tolist())
 
 
 def _by_bytes_parser(text):
     trace = parse_packet_trace(io.BytesIO(text.encode("ascii")))
-    return _exact(trace.timestamps.tolist(), (r.size for r in trace.records))
+    return _exact(trace.timestamps.tolist(), trace.sizes.tolist())
 
 
 def _by_fast_path(text):
     trace = _load_trace(text.encode("ascii"), "")
-    return None if trace is None else _exact(trace.timestamps.tolist(), (r.size for r in trace.records))
+    return None if trace is None else _exact(trace.timestamps.tolist(), trace.sizes.tolist())
 
 
 @pytest.mark.parametrize(
@@ -435,7 +442,7 @@ def test_serialize_parse_round_trip(packets):
     serialize_packet_trace(trace, buf)
     back = parse_packet_trace(io.StringIO(buf.getvalue()))
     assert back.timestamps.tobytes() == trace.timestamps.tobytes()
-    assert back.records == trace.records
+    assert back.sizes.tolist() == trace.sizes.tolist()
 
 
 def test_serialize_formats_in_slices_with_the_same_bytes():
@@ -607,4 +614,4 @@ def test_trace_without_the_extended_format_parses_the_same(monkeypatch):
     assert _by_kernel(text) is None
     slow = parse_packet_trace(io.StringIO(text))
     assert slow.timestamps.tobytes() == fast.timestamps.tobytes()
-    assert slow.records == fast.records
+    assert slow.sizes.tobytes() == fast.sizes.tobytes()
