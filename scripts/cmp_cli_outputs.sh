@@ -116,6 +116,10 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   hk matrix --config trace.cfg --format aligned --out trace_matrix.aligned
   hk matrix --source farima --n 4096 --d 0.2 --phi 0.3 --runs 2 --seed 7 --estimator rs --estimator pgram --format aligned > farima_matrix.aligned
   hk matrix --source ar1 --n 4096 --phi 0.5 --sigma 2 --corruption none --corruption trend --workers 2 > ar1_matrix.csv
+  # matrix cells fit R/S and aggregated variance on the window alone: both fall back to
+  # the full grid at N = 1000, and at N = 100 the R/S window is exactly sizes 16-18
+  hk matrix --source iid --n 1000 --runs 2 --estimator rs --estimator aggvar > iid_fallback_matrix.csv
+  hk matrix --source iid --n 100 --estimator rs > iid_100_rs_matrix.csv
   # two threads interleave on the periodogram kept for the next call on the same series
   hk generate --model fgn --h 0.75 --n 5001 --seed 18 --out fgn_odd.txt
   hk matrix --source file --path fgn_odd.txt --filter none --filter linear --filter poly --workers 2 --estimator pgram --estimator lwhittle > odd_pgram_lw_matrix.csv

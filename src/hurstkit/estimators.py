@@ -196,6 +196,27 @@ def _block_fit(sizes, values, fit_min: float, fit_max: float) -> tuple[LogLogFit
     return fit, diags
 
 
+def _grid_fit(
+    grid: np.ndarray, statistic: Callable[[np.ndarray], Any], fit_min: float, fit_max: float, fit_only: bool
+) -> tuple[LogLogFit, dict[str, Any]]:
+    """_block_fit of ``statistic(sizes)`` over ``grid``, evaluating only what the fit reads.
+
+    With ``fit_only`` the sizes in [fit_min, fit_max] are evaluated first;
+    if three of them have a positive statistic they alone are fitted, else
+    the rest of the grid is evaluated and the fit is the full one, fallback
+    included.  Each size's statistic is independent of the others, so the
+    fit's numbers keep their bits either way.
+    """
+    inside = (grid >= fit_min) & (grid <= fit_max) if fit_only else np.ones(grid.size, dtype=bool)
+    values = np.empty(grid.size)
+    values[inside] = statistic(grid[inside])
+    if fit_only and np.count_nonzero(values[inside] > 0.0) >= 3:
+        return _block_fit(grid[inside], values[inside], fit_min, fit_max)
+    if not inside.all():
+        values[~inside] = statistic(grid[~inside])
+    return _block_fit(grid, values, fit_min, fit_max)
+
+
 _RS_STEPPED_BLOCKS = 512  # block count from which _rs_ratios steps every walk at once
 
 
@@ -238,6 +259,7 @@ def est_rs(
     n_max: int | None = None,
     fit_min: int = 16,
     fit_max: int | None = None,
+    fit_only: bool = False,
 ) -> EstimatorReport:
     """Rescaled-range estimator: mean R/S(n) ~ C n^H.
 
@@ -248,6 +270,11 @@ def est_rs(
     transient that makes R/S understate strong dependence without
     pushing iid data past H = 0.55, and blocks much longer than that
     start reacting to slow additive components.
+
+    ``fit_only`` skips the block sizes outside the fit window when at
+    least three inside it have a positive R/S: ``fit.xs``/``fit.ys`` then
+    hold the fitted sizes alone (``fit_lo`` is 0) and ``block_sizes``
+    counts them.  H, slope, intercept and ``slope_se`` keep their bits.
     """
     n = _require(series, 64, "R/S")
     n_max = n_max if n_max is not None else max(n // 10, 2 * n_min)
@@ -255,7 +282,7 @@ def est_rs(
     grid = _log_grid(max(2, n_min), max(n_min + 1, n_max), grid_points)
     grid = grid[grid <= n]
     # a size whose ratio is 0 has only constant blocks: _block_fit drops it
-    fit, diags = _block_fit(grid, _rs_ratios(series.values, grid), fit_min, fit_max)
+    fit, diags = _grid_fit(grid, lambda sizes: _rs_ratios(series.values, sizes), fit_min, fit_max, fit_only)
     diags["c_h"] = math.exp(fit.intercept)
     return _report("rs", fit.slope, fit, diags)
 
@@ -268,15 +295,30 @@ def est_aggvar(
     m_max: int | None = None,
     fit_min: int = 10,
     fit_max: int | None = None,
+    fit_only: bool = False,
 ) -> EstimatorReport:
-    """Aggregated-variance estimator: var of block means ~ m^(2H-2)."""
+    """Aggregated-variance estimator: var of block means ~ m^(2H-2).
+
+    ``fit_only`` skips the block sizes outside the fit window when at
+    least three inside it have a positive variance, as in :func:`est_rs`:
+    H, slope, intercept and ``slope_se`` keep their bits.
+    """
     n = _require(series, 1000, "aggregated variance")
     m_max = m_max if m_max is not None else max(n // 30, 2 * m_min)
     fit_max = fit_max if fit_max is not None else n // 100
     grid = _log_grid(m_min, m_max, grid_points)
-    variances = [float(aggregate(series, int(m)).values.var()) for m in grid]
-    fit, diags = _block_fit(grid, variances, fit_min, fit_max)
+
+    def variances(sizes: np.ndarray) -> list[float]:
+        return [float(aggregate(series, int(m)).values.var()) for m in sizes]
+
+    fit, diags = _grid_fit(grid, variances, fit_min, fit_max, fit_only)
     return _report("aggvar", 1.0 + fit.slope / 2.0, fit, diags)
+
+
+def _positive_bins(freqs: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bins of positive power; the arrays themselves, uncopied, when that is all of them."""
+    keep = power > 0.0
+    return (freqs, power) if keep.all() else (freqs[keep], power[keep])
 
 
 def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> EstimatorReport:
@@ -288,9 +330,7 @@ def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> Estim
     if not (0.0 < freq_fraction <= 1.0):
         raise ValueError(f"freq_fraction must be in (0, 1], got {freq_fraction}")
     pgram = compute_periodogram(series)
-    positive = pgram.power > 0.0
-    freqs = pgram.frequencies[positive]
-    power = pgram.power[positive]
+    freqs, power = _positive_bins(pgram.frequencies, pgram.power)
     used = max(3, int(freq_fraction * freqs.size))
     fit = loglog_fit(freqs, power, fit_range=(0, used - 1))
     diags = {"bins_used": used, "beta": -fit.slope, "c_f": math.exp(fit.intercept)}
@@ -407,10 +447,7 @@ def est_local_whittle(series: TimeSeries, m: int | None = None) -> EstimatorRepo
     if not (8 <= bandwidth <= nfreq):
         raise BandwidthOutOfRange(f"bandwidth must be in [8, {nfreq}], got {bandwidth}")
     pgram = compute_periodogram(series)
-    freqs = pgram.frequencies[:bandwidth]
-    power = pgram.power[:bandwidth]
-    keep = power > 0.0
-    hurst = local_whittle_minimize(freqs[keep], power[keep])
+    hurst = local_whittle_minimize(*_positive_bins(pgram.frequencies[:bandwidth], pgram.power[:bandwidth]))
     half = 1.96 / (2.0 * math.sqrt(bandwidth))
     diags: dict[str, Any] = {
         "bandwidth": bandwidth,

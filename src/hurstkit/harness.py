@@ -316,6 +316,10 @@ def _materialize_rows(
     return base, rows
 
 
+# A cell prints H alone, so the block estimators skip the sizes their fit does not read.
+_CELL_OPTIONS: dict[str, dict[str, Any]] = {"rs": {"fit_only": True}, "aggvar": {"fit_only": True}}
+
+
 def run_matrix(spec: ExperimentSpec) -> ResultMatrix:
     """Execute the experiment matrix; cell errors are captured, not fatal."""
     all_rows: list[MatrixRow] = []
@@ -333,7 +337,7 @@ def run_matrix(spec: ExperimentSpec) -> ResultMatrix:
         if isinstance(payload, CellError):
             return (idx, method), payload
         try:
-            return (idx, method), estimate(payload, method)
+            return (idx, method), estimate(payload, method, **_CELL_OPTIONS.get(method, {}))
         except HurstkitError as exc:
             return (idx, method), CellError(code=type(exc).__name__, message=str(exc))
 

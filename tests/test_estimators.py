@@ -569,3 +569,95 @@ def test_aggvar_matches_the_per_size_reference(kind, n):
 )
 def test_aggvar_matches_the_per_size_reference_property(kind, log_n, seed):
     _assert_aggvar_matches_reference(_rs_series(kind, int(math.exp(log_n)), seed))
+
+
+# --- window-only block fits against the full grid --------------------------
+
+
+def _fit_bits(fn, series, **kwargs):
+    """(H, slope, intercept, slope_se as float.hex, fit_window, fit_range) of one call, or the exception class."""
+    try:
+        report = fn(series, **kwargs)
+    except hk.HurstkitError as exc:
+        return type(exc)
+    fit = report.fit
+    hexes = [float(v).hex() for v in (report.hurst, fit.slope, fit.intercept, fit.slope_se)]
+    return hexes, report.diagnostics["fit_window"], report.diagnostics.get("fit_range")
+
+
+def _assert_window_only_matches_full(values):
+    """fit_only=True gives the default path's bits for R/S and aggregated variance; True where it fell back."""
+    series = TimeSeries(values)
+    fell_back = []
+    for fn in (est_rs, est_aggvar):
+        full = _fit_bits(fn, series)
+        assert _fit_bits(fn, series, fit_only=True) == full
+        if isinstance(full, type):
+            continue
+        fell_back.append(full[2] == "full(fallback)")
+        report = fn(series, fit_only=True)
+        if not fell_back[-1]:  # only the fitted sizes were kept
+            assert report.fit.fit_lo == 0 and report.fit.fit_hi == report.fit.xs.size - 1
+            assert report.diagnostics["block_sizes"] == report.fit.xs.size
+            lo, hi = report.diagnostics["fit_window"]
+            assert np.exp(report.fit.xs[[0, -1]]) == pytest.approx([lo, hi])
+    return fell_back
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["fgn", "iid", "step", "bytes"]),
+    log_n=st.floats(math.log(64), math.log(2**17)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="fgn", log_n=math.log(2**17), seed=1)
+@example(kind="iid", log_n=math.log(98_183) + 1e-9, seed=2)
+@example(kind="step", log_n=math.log(98_183) + 1e-9, seed=3)
+@example(kind="step", log_n=math.log(64), seed=4)
+def test_window_only_block_fits_match_the_full_grid(kind, log_n, seed):
+    _assert_window_only_matches_full(_rs_series(kind, int(math.exp(log_n)), seed))
+
+
+@pytest.mark.parametrize(
+    "n, fell_back",
+    [(1000, [True, True]), (1500, [True, False]), (2048, [True, False]), (2**17, [False, False])],
+)
+def test_window_only_block_fits_fall_back_like_the_full_grid(n, fell_back):
+    assert _assert_window_only_matches_full(_rs_series("iid", n, seed=n)) == fell_back
+
+
+def test_spectral_estimators_use_a_fully_positive_periodogram_as_it_is(fgn07):
+    pgram = hk.periodogram(fgn07[0])
+    assert (pgram.power > 0.0).all()
+    report = est_periodogram(fgn07[0])
+    used = report.diagnostics["bins_used"]
+    want = loglog_fit(pgram.frequencies.copy(), pgram.power.copy(), fit_range=(0, used - 1))
+    assert report.fit.slope.hex() == want.slope.hex()
+    assert report.fit.intercept.hex() == want.intercept.hex()
+    assert report.fit.slope_se.hex() == want.slope_se.hex()
+    lw = est_local_whittle(fgn07[0])
+    assert lw.hurst.hex() == local_whittle_minimize(pgram.frequencies.copy(), pgram.power.copy()).hex()
+
+
+def test_spectral_estimators_drop_a_zero_periodogram_bin(fgn07, monkeypatch):
+    real = hk.periodogram(fgn07[0])
+    power = real.power.copy()
+    power[4] = 0.0
+    monkeypatch.setattr(estimators, "compute_periodogram", lambda series: hk.Periodogram(real.frequencies, power))
+    keep = power > 0.0
+    freqs, kept = real.frequencies[keep], power[keep]
+
+    report = est_periodogram(fgn07[0])
+    used = max(3, int(0.10 * freqs.size))
+    want = loglog_fit(freqs, kept, fit_range=(0, used - 1))
+    assert report.fit.xs.size == power.size - 1
+    assert [float(v).hex() for v in report.fit.xs] == [float(v).hex() for v in want.xs]
+    assert report.hurst.hex() == ((1.0 - want.slope) / 2.0).hex()
+    assert report.fit.slope_se.hex() == want.slope_se.hex()
+
+    m = 200
+    lw = est_local_whittle(fgn07[0], m=m)
+    sub = keep[:m]
+    want_h = local_whittle_minimize(real.frequencies[:m][sub], power[:m][sub])
+    assert lw.hurst.hex() == want_h.hex()
+    assert lw.hurst.hex() != local_whittle_minimize(real.frequencies[:m], power[:m]).hex()  # the bin counted

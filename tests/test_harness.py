@@ -107,6 +107,18 @@ def test_estimator_error_becomes_cell_marker():
     assert err.code == "SeriesTooShort"
 
 
+def test_block_estimator_cells_fall_back_like_the_full_estimators():
+    spec = ExperimentSpec(source=GeneratorSource(model="iid", n=1000), estimators=("rs", "aggvar"), runs=2)
+    matrix = run_matrix(spec)
+    for idx, row in enumerate(matrix.rows):
+        (_, series), = _materialize_rows(spec, row.run)[1]
+        for method, fn in (("rs", hk.est_rs), ("aggvar", hk.est_aggvar)):
+            cell, full = matrix.cells[(idx, method)], fn(series)
+            assert cell.hurst.hex() == full.hurst.hex()
+            assert cell.diagnostics["fit_range"] == "full(fallback)"
+            assert cell.diagnostics == full.diagnostics
+
+
 def test_format_matrix_cell_formatting():
     # two runs; an R/S column as wide as its widest H text, a Wavelet column as
     # wide as its ERR: cell; CIs where present; a heading and header per run
