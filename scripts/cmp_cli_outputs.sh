@@ -53,12 +53,13 @@ run_all() (
   hk estimate --method lwhittle --bandwidth 8 --in corrupt_trend.txt --out est_lw_hi.csv
   hk generate --model ar1 --phi -0.99 --n 8192 --seed 5 --out ar1_m099.txt
   hk estimate --method lwhittle --in ar1_m099.txt --out est_lw_lo.csv
-  # rows under 16 points are summed as column adds: aggvar's block sizes 2-13 on 2^17 points
+  # full grids sum blocks of 2-15 points too: aggvar's sizes 2-13 on 2^17 points
   hk estimate --method aggvar --in fgn_2e17.txt --out est_aggvar_fgn_2e17.csv --dump-fit fit_aggvar_fgn_2e17.txt
   hk corrupt --kind ar1 --phi -0.99 --in fgn_2e17.txt --seed 17 --out corrupt_ar1_m099_2e17.txt
   # 2n = 7000 = 2^3 5^3 7 is its own FFT length; a 5-smooth rule would take 7200
   hk generate --model iid --n 3500 --seed 16 --out iid_3500.txt
   hk acf --in iid_3500.txt --max-lag 500 --out acf_3500.txt
+  for m in rs aggvar; do hk estimate --method $m --in iid_3500.txt --out est_${m}_3500.csv --dump-fit fit_${m}_3500.txt; done
   hk acf --in fgn.txt --max-lag 100 --out acf.txt
   python3 -c "
 import numpy as np
@@ -69,9 +70,11 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
 " > trace.txt
   hk ingest --trace trace.txt --mode bins --bin-width 0.0078125 --out bins.txt
   hk estimate --method all --in bins.txt --out est_all_bins.csv
-  # each trace reader end to end: CRLF lines go to NumPy's C reader, comment
-  # lines to the line scanner, and Unix-epoch timestamps (10-digit integer
-  # parts, up to 17 digits in all) to the plain-decimal kernel near its limit
+  # each trace reader end to end: trace.txt's 19- and 20-digit lines go to NumPy's
+  # C reader, comment lines to the line scanner, and Unix-epoch timestamps (10-digit
+  # integer parts, up to 17 digits in all) to the plain-decimal kernel near its limit.
+  # CRLF line ends are read as LF before any reader runs, so each CRLF trace takes
+  # its LF twin's reader, and a tab between the columns sends the epoch lines to NumPy's.
   sed 's/$/\r/' trace.txt > trace_crlf.txt
   { echo '# packets'; sed -n '1,10000p' trace.txt; echo '#'; sed -n '10001,$p' trace.txt; } > trace_comments.txt
   python3 -c "
@@ -81,7 +84,9 @@ t = 1.16e9 + np.cumsum(np.floor(273 * (1 + rng.pareto(1.5, 20000)))) * 2.0**-20
 s = rng.choice([40, 576, 1500], size=20000)
 print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
 " > trace_epoch.txt
-  for f in trace_crlf trace_comments trace_epoch; do
+  sed 's/$/\r/' trace_epoch.txt > trace_epoch_crlf.txt
+  sed 's/ /\t/' trace_epoch.txt > trace_epoch_tab.txt
+  for f in trace_crlf trace_comments trace_epoch trace_epoch_crlf trace_epoch_tab; do
     hk ingest --trace $f.txt --mode bins --bin-width 0.0078125 --out bins_$f.txt
   done
   # bin indices are floor(d / w), re-taken as d // w where d / w rounds onto a
@@ -137,6 +142,13 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   printf '1\n0\n2\n' > zeros.txt
   refuse log_zeros filter --kind log --in zeros.txt
   refuse n_1e15 generate --model fgn --n 1000000000000000
+  # more points than an array can index, and more workers than the matrix may start
+  for m in fgn farima ar1 iid; do refuse n_1e20_$m generate --model $m --n 100000000000000000000; done
+  refuse n_2e60_iid generate --model iid --n 1152921504606846976
+  printf 'source = fgn\nn = 100000000000000000000\n' > n_1e20.cfg
+  refuse n_1e20_config matrix --config n_1e20.cfg
+  # one cell, so a checkout without the cap starts one thread
+  refuse workers_1e5 matrix --source iid --n 2048 --estimator rs --workers 100000
 )
 
 run_all "$old" "$work/old"

@@ -30,7 +30,7 @@ from .errors import (
     NonPositivePoint,
     SeriesTooShort,
 )
-from .series import TimeSeries, _row_sums, aggregate
+from .series import TimeSeries, aggregate
 from .spectral import periodogram as compute_periodogram
 from .wavelet import dwt
 
@@ -232,9 +232,10 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
         used = nblocks * block
         chunk = values[:used].reshape(nblocks, block)
         dev = scratch[0, :used].reshape(nblocks, block)
-        np.subtract(chunk, (_row_sums(chunk) / block)[:, None], out=dev)  # chunk.mean's own arithmetic
+        mean = np.add.reduce(chunk, axis=1) / block  # chunk.mean's own arithmetic
+        np.subtract(chunk, mean[:, None], out=dev)
         square = scratch[1, :used].reshape(nblocks, block)
-        std = np.sqrt(_row_sums(np.multiply(dev, dev, out=square)) / block)  # and chunk.std's
+        std = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=square), axis=1) / block)  # and chunk.std's
         if nblocks >= _RS_STEPPED_BLOCKS:
             # A per-row cumsum is latency-bound; stepping all walks at once vectorises
             # across blocks while each walk still adds left to right, so the bits match.

@@ -23,7 +23,7 @@ from typing import IO, Any, Callable
 from .errors import ConfigError, HurstkitError, SeriesTooShort
 from .estimators import METHOD_ORDER, EstimatorReport, estimate
 from .generators import Ar1Spec, FarimaSpec, FgnSpec, gen_ar1, gen_farima, gen_fgn, gen_iid_gaussian
-from .series import TimeSeries, acf, read_series
+from .series import _MAX_POINTS, TimeSeries, acf, read_series
 from .traces import bin_bytes, check_bin_width, interarrival_series, parse_packet_trace
 from .transforms import CorruptionKind, FilterKind, apply_filter, corrupt
 
@@ -126,6 +126,8 @@ class GeneratorSource:
     def __post_init__(self) -> None:
         if self.model not in GENERATOR_MODELS:
             raise ConfigError(f"unknown generator model {self.model!r}")
+        if self.n > _MAX_POINTS:
+            raise ConfigError(f"key 'n': {self.n} points are more than an array can index")
         object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
         self._spec(0)
@@ -231,6 +233,11 @@ class TraceSource(FileSource):
         return f"trace {self.path} (interarrival times)"
 
 
+# run_matrix hands every cell to the pool at once, so the pool starts min(workers, cells)
+# threads: a large matrix with a large workers would try to start thousands and fail.
+_MAX_WORKERS = 64
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one generator x transform x estimator matrix."""
@@ -257,6 +264,8 @@ class ExperimentSpec:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > _MAX_WORKERS:
+            raise ConfigError(f"workers must be <= {_MAX_WORKERS}, got {self.workers}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown output format {self.fmt!r}; use 'csv' or 'aligned'")
 

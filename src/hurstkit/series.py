@@ -59,6 +59,8 @@ __all__ = [
     "write_series",
 ]
 
+_MAX_POINTS = int(np.iinfo(np.intp).max) // 8  # float64 values whose byte count fits in intp
+
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -166,35 +168,6 @@ def acf(series: TimeSeries, max_lag: int) -> AcfCurve:
     return AcfCurve(lags=np.arange(max_lag + 1), rho=rho)
 
 
-def _row_sums(chunk: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(chunk, axis=1)`` of a C-contiguous 2-d float64 array, same bits.
-
-    numpy reduces each row in its own inner-loop call, which dominates
-    for short rows.  Rows shorter than 16 are summed here as column adds
-    into one accumulator, in numpy's pairwise order: left to right below
-    8 points; from 8 to 15, ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` of the
-    first eight, then the tail left to right.  numpy's sum starts from
-    +0.0, so a row of -0.0 sums to +0.0 here too.
-    """
-    block = chunk.shape[1]
-    if block >= 16:
-        return np.add.reduce(chunk, axis=1)
-    if block < 8:
-        acc = chunk[:, 0] + 0.0
-        tail = range(1, block)
-    else:
-        acc = chunk[:, 0] + chunk[:, 1]
-        acc += chunk[:, 2] + chunk[:, 3]
-        high = chunk[:, 4] + chunk[:, 5]
-        high += chunk[:, 6] + chunk[:, 7]
-        acc += high
-        acc += 0.0
-        tail = range(8, block)
-    for j in tail:
-        acc += chunk[:, j]
-    return acc
-
-
 def aggregate(series: TimeSeries, block: int) -> TimeSeries:
     """Block means at size ``block``; the trailing partial block is dropped."""
     n = len(series)
@@ -203,9 +176,7 @@ def aggregate(series: TimeSeries, block: int) -> TimeSeries:
     if block == 1:
         return TimeSeries(series.values)
     nblocks = n // block
-    # ``.mean(axis=1)`` is this sum divided by the count: the same bits
-    means = _row_sums(series.values[: nblocks * block].reshape(nblocks, block)) / block
-    return TimeSeries(means)
+    return TimeSeries(series.values[: nblocks * block].reshape(nblocks, block).mean(axis=1))
 
 
 _WRITE_SLICE = 1 << 16  # values formatted per write: bounded memory at any length

@@ -55,7 +55,7 @@ from .errors import (
     NonMonotoneTimestamp,
     TooFewRecords,
 )
-from .series import _TRACE_LINE, _WRITE_SLICE, TimeSeries, _decimal_columns, _loadtxt, _parse_text
+from .series import _MAX_POINTS, _TRACE_LINE, _WRITE_SLICE, TimeSeries, _decimal_columns, _loadtxt, _parse_text
 
 __all__ = [
     "PacketTrace",
@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_MAX_BINS = int(np.iinfo(np.intp).max) // 8  # float64 bins whose byte count fits in intp
 _COLUMNS = np.dtype([("t", np.float64), ("s", np.int64)])
 
 
@@ -229,7 +228,7 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
     t0 = ts[0]
     span = float(ts[-1] - t0)
     bins = span / bin_width
-    if not bins <= _MAX_BINS:  # also refuses a quotient that overflowed to inf
+    if not bins <= _MAX_POINTS:  # also refuses a quotient that overflowed to inf
         raise BadBinWidth(
             f"bin width {bin_width!r} cuts the {span!r} s trace into {bins:.3g} bins, "
             "more than an array can index"

@@ -317,6 +317,33 @@ def test_fatal_errors_are_one_line(tmp_path, capsys, argv):
         assert lines[0] == f"hurstkit: error: key 'n': {10**15} points do not fit in memory"
 
 
+@pytest.mark.parametrize("n", [2**60, 10**20])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d, n: ["generate", "--model", "iid", "--n", str(n)],
+        lambda d, n: ["generate", "--model", "fgn", "--n", str(n)],
+        lambda d, n: ["generate", "--model", "ar1", "--n", str(n)],
+        lambda d, n: ["generate", "--model", "farima", "--n", str(n)],
+        lambda d, n: ["matrix", "--config", _write(d / "c.cfg", b"source = fgn\nn = %d\n" % n)],
+    ],
+    ids=["iid", "fgn", "ar1", "farima", "matrix-config"],
+)
+def test_n_beyond_what_an_array_can_index_names_the_key(tmp_path, capsys, argv, n):
+    # 2**60 float64 values take 2**63 bytes, one more than intp holds
+    assert run_cli(*argv(tmp_path, n)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hurstkit: error: key 'n': {n} points are more than an array can index\n"
+
+
+def test_workers_above_the_cap_are_refused_before_any_thread_starts(capsys):
+    assert run_cli("matrix", "--source", "iid", "--n", "2048", "--workers", "100000") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hurstkit: error: workers must be <= 64, got 100000\n"
+
+
 def test_non_ascii_byte_is_reported_at_its_file_offset(tmp_path, capsys):
     # the series file is read whole, so the offset counts from the file's
     # start, not from the start of the 8 KiB chunk that held the byte

@@ -19,7 +19,6 @@ from hurstkit import (
     local_whittle_minimize,
     loglog_fit,
 )
-from hurstkit.series import _row_sums
 
 
 # --- loglog_fit -----------------------------------------------------------
@@ -460,8 +459,8 @@ def _rs_ratios_allocating(values, grid):
     for block in grid:
         nblocks = values.size // block
         chunk = values[: nblocks * block].reshape(nblocks, block)
-        dev = chunk - (_row_sums(chunk) / block)[:, None]
-        std = np.sqrt(_row_sums(dev * dev) / block)
+        dev = chunk - chunk.mean(axis=1)[:, None]
+        std = chunk.std(axis=1)
         if nblocks >= estimators._RS_STEPPED_BLOCKS:
             walks = np.empty((block, nblocks))
             walks[0] = dev[:, 0]
@@ -489,7 +488,7 @@ def _rs_ratios_allocating(values, grid):
 def test_rs_scratch_rows_match_the_allocating_form(kind, n, n_min, seed):
     values = _rs_series(kind, n, seed)
     grid = estimators._log_grid(n_min, max(n // 10, 2 * n_min), 30)
-    assert grid.min() < 16  # blocks summed as column adds by _row_sums
+    assert grid.min() < 16
     got = estimators._rs_ratios(values, grid)
     assert [r.hex() for r in got] == [r.hex() for r in _rs_ratios_allocating(values, grid)]
 

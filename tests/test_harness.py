@@ -21,6 +21,7 @@ from hurstkit import (
     run_matrix,
 )
 from hurstkit.harness import CORRUPTION_SEED_OFFSET, _materialize_rows, cast_config
+from hurstkit.series import _MAX_POINTS
 
 
 def small_spec(**overrides):
@@ -339,6 +340,13 @@ def test_a_farima_source_takes_at_most_two_phi():
     assert str(exc.value) == "a farima source takes at most 2 phi, got 3"
 
 
+def test_n_is_refused_from_the_first_length_an_array_cannot_index():
+    GeneratorSource(model="iid", n=_MAX_POINTS)
+    with pytest.raises(hk.ConfigError) as exc:
+        GeneratorSource(model="iid", n=_MAX_POINTS + 1)
+    assert str(exc.value) == f"key 'n': {_MAX_POINTS + 1} points are more than an array can index"
+
+
 def test_a_negative_seed_is_refused():
     with pytest.raises(hk.ConfigError) as exc:
         build_experiment_spec(parse_config("source = iid\nn = 2048\nseed = -1\n"))
@@ -358,8 +366,9 @@ def test_a_negative_seed_is_refused():
         ("= 5\n", "line 1: empty key or value in '= 5'"),
         ("n =\n", "line 1: empty key or value in 'n ='"),
         ("source = iid\nn = 2048\nworkers = 0\n", "workers must be >= 1, got 0"),
+        ("source = iid\nn = 2048\nworkers = 65\n", "workers must be <= 64, got 65"),
     ],
-    ids=["unknown-source", "no-source", "unknown-trace-mode", "empty-key", "empty-value", "workers-0"],
+    ids=["unknown-source", "no-source", "unknown-trace-mode", "empty-key", "empty-value", "workers-0", "workers-65"],
 )
 def test_build_source_refusals(body, message):
     with pytest.raises(hk.ConfigError) as exc:

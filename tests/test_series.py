@@ -17,7 +17,6 @@ from hurstkit.series import (
     _WRITE_SLICE,
     _decimal_columns,
     _load_values,
-    _row_sums,
     _scan_values,
     _whole_text,
 )
@@ -145,24 +144,6 @@ def test_aggregate_block_one_is_identity(values):
 def _signed_magnitudes(rng, size):
     """Values of both signs with magnitudes spread log-uniformly over 1e-8..1e8."""
     return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-8.0, 8.0, size=size)
-
-
-@given(
-    block=st.integers(1, 40),
-    nblocks=st.sampled_from([1, 2, 7, 300, 3072]),
-    negzero_rows=st.integers(0, 5),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(block=7, nblocks=300, negzero_rows=1, seed=0)
-@example(block=8, nblocks=300, negzero_rows=1, seed=0)
-@example(block=15, nblocks=300, negzero_rows=1, seed=0)
-@example(block=16, nblocks=300, negzero_rows=1, seed=0)
-@settings(max_examples=150, deadline=None)
-def test_row_sums_equal_numpy_reduce_bitwise(block, nblocks, negzero_rows, seed):
-    rng = np.random.default_rng(seed)
-    chunk = _signed_magnitudes(rng, nblocks * block).reshape(nblocks, block)
-    chunk[rng.integers(0, nblocks, size=negzero_rows)] = -0.0
-    assert _row_sums(chunk).tobytes() == np.add.reduce(chunk, axis=1).tobytes()
 
 
 @given(m=st.integers(1, 64), log_n=st.floats(math.log(64), math.log(70_000)), seed=st.integers(0, 2**32 - 1))
