@@ -145,6 +145,8 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   # more points than an array can index, and more workers than the matrix may start
   for m in fgn farima ar1 iid; do refuse n_1e20_$m generate --model $m --n 100000000000000000000; done
   refuse n_2e60_iid generate --model iid --n 1152921504606846976
+  # farima draws n more innovations for its warm-up, so 2**59 points are already too many
+  refuse n_2e59_farima generate --model farima --n 576460752303423488
   printf 'source = fgn\nn = 100000000000000000000\n' > n_1e20.cfg
   refuse n_1e20_config matrix --config n_1e20.cfg
   # one cell, so a checkout without the cap starts one thread

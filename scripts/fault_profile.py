@@ -1,4 +1,4 @@
-"""Minor page faults and wall seconds per stage of a matrix-fgn-shaped pass.
+"""Minor page faults, wall seconds and peak RSS per stage of a matrix-fgn-shaped pass.
 
     PYTHONPATH=src python3 scripts/fault_profile.py [--seed 11] [--passes 5]
 
@@ -10,8 +10,11 @@ call, with ``hurstkit.harness.estimate`` and ``_materialize_rows`` wrapped
 where ``run_matrix`` looks them up.  Prints one JSON object: the median
 over the warm passes of the minor faults (``getrusage`` ``ru_minflt``)
 and the wall seconds of row materialisation, of each estimator summed
-over its rows, of the rest of ``run_matrix`` and of the whole pass.  It
-reports and does not gate.
+over its rows, of the rest of ``run_matrix`` and of the whole pass; the
+process's peak RSS (``ru_maxrss``, MiB) before the cold pass, after it
+and after the warm passes; and how far each stage raised that peak
+during the cold pass, which is where the peak is set.  It reports and
+does not gate.
 
 Faults of the stages that still allocate series-length arrays follow the
 allocator's heap layout, which changes from process to process (with
@@ -33,34 +36,40 @@ def _faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _peak_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
 class _Meter:
-    """Faults and seconds summed per stage name."""
+    """Faults, seconds and rises of the peak RSS (MiB) summed per stage name."""
 
     def __init__(self) -> None:
         self.faults: dict[str, int] = {}
         self.seconds: dict[str, float] = {}
+        self.peak_rise: dict[str, float] = {}
 
-    def run(self, name: str, fn, *args):
-        f0, t0 = _faults(), perf_counter()
-        result = fn(*args)
-        t1, f1 = perf_counter(), _faults()
+    def run(self, name: str, fn, *args, **kwargs):
+        f0, p0, t0 = _faults(), _peak_mib(), perf_counter()
+        result = fn(*args, **kwargs)
+        t1, p1, f1 = perf_counter(), _peak_mib(), _faults()
         self.faults[name] = self.faults.get(name, 0) + f1 - f0
         self.seconds[name] = self.seconds.get(name, 0.0) + t1 - t0
+        self.peak_rise[name] = self.peak_rise.get(name, 0.0) + p1 - p0
         return result
 
 
 def _pass(spec) -> _Meter:
     meter = _Meter()
     estimate, materialize = harness.estimate, harness._materialize_rows
-    harness.estimate = lambda series, method: meter.run(method, estimate, series, method)
+    harness.estimate = lambda series, method, **kwargs: meter.run(method, estimate, series, method, **kwargs)
     harness._materialize_rows = lambda spec, run: meter.run("rows", materialize, spec, run)
     try:
         meter.run("pass", harness.run_matrix, spec)
     finally:
         harness.estimate, harness._materialize_rows = estimate, materialize
     stages = [name for name in meter.faults if name != "pass"]
-    meter.faults["run_matrix_self"] = meter.faults["pass"] - sum(meter.faults[name] for name in stages)
-    meter.seconds["run_matrix_self"] = meter.seconds["pass"] - sum(meter.seconds[name] for name in stages)
+    for totals in (meter.faults, meter.seconds, meter.peak_rise):
+        totals["run_matrix_self"] = totals["pass"] - sum(totals[name] for name in stages)
     return meter
 
 
@@ -75,13 +84,21 @@ def main() -> None:
         "estimator = all\nworkers = 1\n"
     )
     spec = harness.build_experiment_spec(harness.parse_config(text))
-    _pass(spec)  # the cold pass: imports, caches and the heap's first growth
+    before = _peak_mib()
+    cold = _pass(spec)  # the cold pass: imports, caches and the heap's first growth
+    after_cold = _peak_mib()
     warm = [_pass(spec) for _ in range(args.passes)]
     report = {
         "seed": args.seed,
         "warm_passes": args.passes,
         "minor_faults": {name: statistics.median(m.faults[name] for m in warm) for name in warm[0].faults},
         "wall_s": {name: round(statistics.median(m.seconds[name] for m in warm), 4) for name in warm[0].seconds},
+        "peak_rss_mib": {
+            "before_cold_pass": round(before, 2),
+            "after_cold_pass": round(after_cold, 2),
+            "after_warm_passes": round(_peak_mib(), 2),
+        },
+        "cold_peak_rise_mib": {name: round(rise, 2) for name, rise in cold.peak_rise.items()},
     }
     print(json.dumps(report, indent=2))
 

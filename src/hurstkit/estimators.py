@@ -322,10 +322,17 @@ def _positive_bins(freqs: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np
     return (freqs, power) if keep.all() else (freqs[keep], power[keep])
 
 
-def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> EstimatorReport:
+def est_periodogram(
+    series: TimeSeries, *, freq_fraction: float = 0.10, fit_only: bool = False
+) -> EstimatorReport:
     """Periodogram estimator: log I(lambda) vs log lambda has slope 1 - 2H.
 
     Fits the lowest ``freq_fraction`` of the Fourier frequencies.
+
+    ``fit_only`` hands the fit the fitted bins alone: ``fit.xs``/``fit.ys``
+    then hold ``bins_used`` points instead of every positive bin.  The log
+    is elementwise and the sums run over the same bins, so H, slope,
+    intercept, ``slope_se`` and the diagnostics keep their bits.
     """
     _require(series, 1000, "periodogram estimator")
     if not (0.0 < freq_fraction <= 1.0):
@@ -333,7 +340,10 @@ def est_periodogram(series: TimeSeries, *, freq_fraction: float = 0.10) -> Estim
     pgram = compute_periodogram(series)
     freqs, power = _positive_bins(pgram.frequencies, pgram.power)
     used = max(3, int(freq_fraction * freqs.size))
-    fit = loglog_fit(freqs, power, fit_range=(0, used - 1))
+    if fit_only:
+        fit = loglog_fit(freqs[:used], power[:used])
+    else:
+        fit = loglog_fit(freqs, power, fit_range=(0, used - 1))
     diags = {"bins_used": used, "beta": -fit.slope, "c_f": math.exp(fit.intercept)}
     return _report("periodogram", (1.0 - fit.slope) / 2.0, fit, diags)
 

@@ -23,6 +23,7 @@ Gaussian noise"; Granger & Joyeux (1980) for fractional differencing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -184,12 +185,16 @@ def gen_fgn(spec: FgnSpec) -> TimeSeries:
     density = fgn_spectral_density(lam, hurst)
     mags = np.sqrt(density * rng.exponential(1.0, m))
     phases = rng.uniform(0.0, 2.0 * np.pi, m)
-    z = mags * np.exp(1j * phases)
 
+    # z = mags * exp(1j * phases), built in place in its bins, then mirrored
     coeffs = np.zeros(n, dtype=np.complex128)
-    coeffs[n - m :] = np.conj(z[::-1])
-    coeffs[1 : m + 1] = z  # for even n the Nyquist bin keeps z_m; real part below
-    path = np.fft.ifft(coeffs).real
+    z = coeffs[1 : m + 1]
+    np.multiply(1j, phases, out=z)
+    np.exp(z, out=z)
+    np.multiply(mags, z, out=z)
+    # for even n the Nyquist bin keeps z_m (real part below), so z_m is not mirrored
+    np.conjugate(z[-2::-1] if n % 2 == 0 else z[::-1], out=coeffs[m + 1 :])
+    path = np.fft.ifft(coeffs, out=coeffs).real
     path -= path.mean()
     path /= path.std()
     return TimeSeries(path)
@@ -233,10 +238,5 @@ def gen_ar1(spec: Ar1Spec) -> TimeSeries:
     x0 = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
     eps = rng.standard_normal(spec.n - 1) * spec.sigma
     phi = spec.phi
-    x = x0
-    path = [x]
-    append = path.append
-    for e in eps.tolist():
-        x = e + phi * x
-        append(x)
-    return TimeSeries(path)
+    steps = itertools.accumulate(eps.tolist(), lambda x, e: e + phi * x, initial=x0)
+    return TimeSeries(np.fromiter(steps, np.float64, spec.n))

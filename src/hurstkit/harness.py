@@ -126,7 +126,8 @@ class GeneratorSource:
     def __post_init__(self) -> None:
         if self.model not in GENERATOR_MODELS:
             raise ConfigError(f"unknown generator model {self.model!r}")
-        if self.n > _MAX_POINTS:
+        # gen_farima draws n more innovations for its warm-up
+        if (2 * self.n if self.model == "farima" else self.n) > _MAX_POINTS:
             raise ConfigError(f"key 'n': {self.n} points are more than an array can index")
         object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
@@ -233,8 +234,9 @@ class TraceSource(FileSource):
         return f"trace {self.path} (interarrival times)"
 
 
-# run_matrix hands every cell to the pool at once, so the pool starts min(workers, cells)
-# threads: a large matrix with a large workers would try to start thousands and fail.
+# run_matrix hands one run's cells to the pool at a time, so the pool starts at most
+# min(workers, cells per run) threads: an uncapped workers on a wide matrix would try
+# to start thousands and fail.
 _MAX_WORKERS = 64
 
 
@@ -325,38 +327,52 @@ def _materialize_rows(
     return base, rows
 
 
-# A cell prints H alone, so the block estimators skip the sizes their fit does not read.
-_CELL_OPTIONS: dict[str, dict[str, Any]] = {"rs": {"fit_only": True}, "aggvar": {"fit_only": True}}
+# A cell prints H alone, so the block estimators skip the sizes their fit does not read
+# and the periodogram keeps the log-log arrays of its fitted bins alone.
+_CELL_OPTIONS: dict[str, dict[str, Any]] = {
+    "rs": {"fit_only": True},
+    "aggvar": {"fit_only": True},
+    "periodogram": {"fit_only": True},
+}
 
 
 def run_matrix(spec: ExperimentSpec) -> ResultMatrix:
-    """Execute the experiment matrix; cell errors are captured, not fatal."""
-    all_rows: list[MatrixRow] = []
-    jobs: list[tuple[int, str, TimeSeries | CellError]] = []
-    for run in range(spec.runs):
-        _, rows = _materialize_rows(spec, run)
-        for row, payload in rows:
-            idx = len(all_rows)
-            all_rows.append(row)
-            for method in spec.estimators:
-                jobs.append((idx, method, payload))
+    """Execute the experiment matrix one run at a time; cell errors are captured, not fatal.
 
-    def run_cell(job: tuple[int, str, TimeSeries | CellError]) -> tuple[tuple[int, str], EstimatorReport | CellError]:
-        idx, method, payload = job
+    No cell reads another run's rows, so each run's rows are dropped once
+    its cells are estimated, before the next run's are built.
+    """
+    all_rows: list[MatrixRow] = []
+    cells: dict[tuple[int, str], EstimatorReport | CellError] = {}
+    # The current run's rows by row index.  Jobs carry indices alone and the dict is
+    # emptied after each run, so no pool work item keeps a series alive.
+    payloads: dict[int, TimeSeries | CellError] = {}
+
+    def run_cell(job: tuple[int, str]) -> tuple[tuple[int, str], EstimatorReport | CellError]:
+        idx, method = job
+        payload = payloads[idx]
         if isinstance(payload, CellError):
-            return (idx, method), payload
+            return job, payload
         try:
-            return (idx, method), estimate(payload, method, **_CELL_OPTIONS.get(method, {}))
+            return job, estimate(payload, method, **_CELL_OPTIONS.get(method, {}))
         except HurstkitError as exc:
-            return (idx, method), CellError(code=type(exc).__name__, message=str(exc))
+            return job, CellError(code=type(exc).__name__, message=str(exc))
+
+    def estimate_run(run: int, map_cells: Callable) -> None:
+        for idx, (row, payload) in enumerate(_materialize_rows(spec, run)[1], start=len(all_rows)):
+            all_rows.append(row)
+            payloads[idx] = payload
+        cells.update(map_cells(run_cell, [(idx, method) for idx in payloads for method in spec.estimators]))
+        payloads.clear()
 
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(run_cell, jobs))
+            for run in range(spec.runs):
+                estimate_run(run, pool.map)
     else:
-        results = [run_cell(job) for job in jobs]
+        for run in range(spec.runs):
+            estimate_run(run, map)
 
-    cells = dict(results)
     return ResultMatrix(
         rows=tuple(all_rows),
         methods=tuple(spec.estimators),

@@ -660,3 +660,49 @@ def test_spectral_estimators_drop_a_zero_periodogram_bin(fgn07, monkeypatch):
     want_h = local_whittle_minimize(real.frequencies[:m][sub], power[:m][sub])
     assert lw.hurst.hex() == want_h.hex()
     assert lw.hurst.hex() != local_whittle_minimize(real.frequencies[:m], power[:m]).hex()  # the bin counted
+
+
+# --- window-only periodogram fit against the full one -----------------------
+
+
+def _pgram_bits(report):
+    """H, slope, intercept, slope_se, beta and c_f as float.hex, with bins_used and the fit's range."""
+    fit, diags = report.fit, report.diagnostics
+    hexes = [float(v).hex() for v in (report.hurst, fit.slope, fit.intercept, fit.slope_se, diags["beta"], diags["c_f"])]
+    return hexes, diags["bins_used"], (fit.fit_lo, fit.fit_hi), diags["outside_nominal_range"]
+
+
+def _assert_window_only_periodogram_matches_full(series):
+    full = est_periodogram(series)
+    window = est_periodogram(series, fit_only=True)
+    assert _pgram_bits(window) == _pgram_bits(full)
+    used = full.diagnostics["bins_used"]
+    assert window.fit.xs.size == window.fit.ys.size == window.fit.weights.size == used
+    for name in ("xs", "ys", "weights"):
+        assert getattr(window.fit, name).tobytes() == getattr(full.fit, name)[:used].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["fgn", "iid", "bytes", "offset"]),
+    n=st.integers(1000, 2**17),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="fgn", n=1000, seed=1)
+@example(kind="iid", n=98_183, seed=2)
+@example(kind="fgn", n=2**17, seed=3)
+def test_window_only_periodogram_fit_matches_the_full_one(kind, n, seed):
+    _assert_window_only_periodogram_matches_full(TimeSeries(_rs_series(kind, n, seed)))
+
+
+def test_window_only_periodogram_fit_drops_a_zero_bin_like_the_full_one(fgn07, monkeypatch):
+    real = hk.periodogram(fgn07[0])
+    power = real.power.copy()
+    power[4] = 0.0
+    monkeypatch.setattr(estimators, "compute_periodogram", lambda series: hk.Periodogram(real.frequencies, power))
+    _assert_window_only_periodogram_matches_full(fgn07[0])
+    window = est_periodogram(fgn07[0], fit_only=True)
+    keep = power > 0.0
+    used = window.diagnostics["bins_used"]
+    assert used == int(0.10 * np.count_nonzero(keep))
+    assert window.fit.xs.tobytes() == np.log(real.frequencies[keep][:used]).tobytes()

@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hurstkit as hk
 from hurstkit import (
@@ -245,3 +248,86 @@ def test_ar1_of_one_point_is_the_stationary_first_draw(seed, phi, sigma):
     assert one.values.dtype == np.float64
     assert one.values.tolist() == [x0]
     assert gen_ar1(Ar1Spec(phi=phi, n=8, seed=seed, sigma=sigma)).values[0] == x0
+
+
+# --- in-place forms against the allocating ones they replaced --------------
+
+PINNED_LENGTHS = (1, 2, 3, 1000, 1001, 4097, 98_183, 2**17)
+
+
+def _fgn_allocating(spec):
+    """gen_fgn's values as built with a new array per step; the ValueError a non-finite path raises."""
+    n, hurst = spec.n, spec.hurst
+    rng = np.random.default_rng(spec.seed)
+    m = n // 2
+    lam = 2.0 * np.pi * np.arange(1, m + 1) / n
+    mags = np.sqrt(fgn_spectral_density(lam, hurst) * rng.exponential(1.0, m))
+    phases = rng.uniform(0.0, 2.0 * np.pi, m)
+    z = mags * np.exp(1j * phases)
+    coeffs = np.zeros(n, dtype=np.complex128)
+    coeffs[n - m :] = np.conj(z[::-1])
+    coeffs[1 : m + 1] = z
+    path = np.fft.ifft(coeffs).real
+    path -= path.mean()
+    with np.errstate(invalid="ignore"):
+        path /= path.std()
+    return hk.TimeSeries(path).values
+
+
+def _ar1_listed(spec):
+    """gen_ar1's values as built by appending to a list."""
+    rng = np.random.default_rng(spec.seed)
+    x = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
+    eps = rng.standard_normal(spec.n - 1) * spec.sigma
+    path = [x]
+    for e in eps.tolist():
+        x = e + spec.phi * x
+        path.append(x)
+    return np.asarray(path)
+
+
+def _bits_or_refusal(fn, spec):
+    try:
+        return fn(spec).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_fgn_matches_allocating(n, seed, hurst=0.7):
+    # FgnSpec needs N >= 16; the stand-in reaches the empty (n = 1, 2) and one-bin mirrors
+    spec = SimpleNamespace(n=n, hurst=hurst, seed=seed)
+    with np.errstate(invalid="ignore"):
+        got = _bits_or_refusal(lambda s: gen_fgn(s).values, spec)
+    assert got == _bits_or_refusal(_fgn_allocating, spec)
+
+
+@pytest.mark.parametrize("n", PINNED_LENGTHS)
+def test_fgn_keeps_the_bits_of_the_allocating_form(n):
+    for seed in (0, 11):
+        _assert_fgn_matches_allocating(n, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2**17), seed=st.integers(0, 2**63), hurst=st.floats(0.5, 0.99))
+@example(n=2, seed=5, hurst=0.5)
+def test_fgn_keeps_the_bits_of_the_allocating_form_property(n, seed, hurst):
+    _assert_fgn_matches_allocating(n, seed, hurst)
+
+
+@pytest.mark.parametrize("n", PINNED_LENGTHS)
+def test_ar1_keeps_the_bits_of_the_listed_form(n):
+    for phi, sigma in ((0.9, 1.0), (-0.99, 2.5)):
+        spec = Ar1Spec(phi=phi, n=n, seed=n, sigma=sigma)
+        assert gen_ar1(spec).values.tobytes() == _ar1_listed(spec).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 2**17),
+    seed=st.integers(0, 2**63),
+    phi=st.floats(-0.999, 0.999),
+    sigma=st.floats(1e-3, 1e3),
+)
+def test_ar1_keeps_the_bits_of_the_listed_form_property(n, seed, phi, sigma):
+    spec = Ar1Spec(phi=phi, n=n, seed=seed, sigma=sigma)
+    assert gen_ar1(spec).values.tobytes() == _ar1_listed(spec).tobytes()

@@ -1,9 +1,12 @@
 import io
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import hurstkit as hk
+import hurstkit.harness as harness
 from hurstkit import (
     CellError,
     CorruptionKind,
@@ -184,6 +187,54 @@ def test_matrix_deterministic_and_parallel_equivalent():
     assert a == c
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_drops_each_runs_rows_before_building_the_next(monkeypatch, workers):
+    spec = small_spec(runs=3, workers=workers)
+    materialize = harness._materialize_rows
+    refs: list[list[weakref.ref]] = []  # each run's row series
+    alive_at_build: list[int] = []  # earlier runs' series still alive when each run's rows were built
+
+    def tracked(spec, run):
+        alive_at_build.append(sum(ref() is not None for run_refs in refs for ref in run_refs))
+        base, rows = materialize(spec, run)
+        refs.append([weakref.ref(base)] + [weakref.ref(p) for _, p in rows if isinstance(p, TimeSeries)])
+        return base, rows
+
+    monkeypatch.setattr(harness, "_materialize_rows", tracked)
+    matrix = run_matrix(spec)
+    assert alive_at_build == [0, 0, 0]
+    assert [len(run_refs) for run_refs in refs] == [5, 5, 5]  # the base, then its four rows
+    assert all(ref() is None for run_refs in refs for ref in run_refs)
+    monkeypatch.undo()
+    assert format_matrix(matrix) == format_matrix(run_matrix(small_spec(runs=3)))
+
+
+def test_parallel_matrix_matches_serial_under_fast_thread_switching():
+    # more threads than cores, switching every microsecond, over three runs' row dicts
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_matrix(small_spec(runs=3, workers=4))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(parallel.cells) == 3 * 4 * len(hk.METHOD_ORDER)
+    assert format_matrix(parallel) == format_matrix(run_matrix(small_spec(runs=3)))
+
+
+def test_periodogram_cells_hold_the_fitted_bins_alone():
+    spec = small_spec(runs=2, estimators=("periodogram",))
+    matrix = run_matrix(spec)
+    for idx, row in enumerate(matrix.rows):
+        cell = matrix.cells[(idx, "periodogram")]
+        used = cell.diagnostics["bins_used"]
+        assert cell.fit.xs.size == cell.fit.ys.size == cell.fit.weights.size == used
+        assert (cell.fit.fit_lo, cell.fit.fit_hi) == (0, used - 1)
+        payload = {r.label: p for r, p in _materialize_rows(spec, row.run)[1]}[row.label]
+        full = hk.est_periodogram(payload)
+        assert cell.hurst.hex() == full.hurst.hex()
+        assert cell.diagnostics == full.diagnostics
+
+
 def test_export_acf_format():
     rng = np.random.default_rng(3)
     series = TimeSeries(rng.standard_normal(2000))
@@ -345,6 +396,14 @@ def test_n_is_refused_from_the_first_length_an_array_cannot_index():
     with pytest.raises(hk.ConfigError) as exc:
         GeneratorSource(model="iid", n=_MAX_POINTS + 1)
     assert str(exc.value) == f"key 'n': {_MAX_POINTS + 1} points are more than an array can index"
+
+
+def test_a_farima_n_is_refused_from_the_first_warm_up_an_array_cannot_index():
+    # gen_farima draws 2n innovations, n of them warm-up
+    GeneratorSource(model="farima", n=_MAX_POINTS // 2)
+    with pytest.raises(hk.ConfigError) as exc:
+        GeneratorSource(model="farima", n=_MAX_POINTS // 2 + 1)
+    assert str(exc.value) == f"key 'n': {_MAX_POINTS // 2 + 1} points are more than an array can index"
 
 
 def test_a_negative_seed_is_refused():
