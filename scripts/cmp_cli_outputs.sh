@@ -45,6 +45,8 @@ run_all() (
   # AR(1) recursion, ACF FFT length and bounded Brent minimiser at scale
   hk generate --model ar1 --phi 0.99 --n 131072 --seed 13 --out ar1_099_2e17.txt
   hk generate --model ar1 --phi -0.9 --n 131072 --seed 14 --out ar1_m09_2e17.txt
+  # the recursion runs over 4096-innovation chunks: these leave a last chunk of one
+  for n in 4098 8194; do hk generate --model ar1 --phi 0.9 --n $n --seed 19 --out ar1_$n.txt; done
   hk corrupt --kind ar1 --in fgn_2e17.txt --seed 15 --out corrupt_ar1_2e17.txt
   hk estimate --method lwhittle --in fgn_2e17.txt --out est_lw_fgn_2e17.csv
   hk estimate --method lwhittle --bandwidth 300 --in ar1.txt --out est_lw_ar1.csv
@@ -127,6 +129,8 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   hk matrix --source iid --n 100 --estimator rs > iid_100_rs_matrix.csv
   # two threads interleave on the periodogram kept for the next call on the same series
   hk generate --model fgn --h 0.75 --n 5001 --seed 18 --out fgn_odd.txt
+  hk corrupt --kind ar1 --in fgn_odd.txt --seed 20 --out corrupt_ar1_odd.txt
+  hk matrix --source fgn --n 4099 --h 0.8 --runs 2 --seed 21 --corruption none --corruption ar1 --corruption sine --corruption trend > fgn_odd_matrix.csv
   hk matrix --source file --path fgn_odd.txt --filter none --filter linear --filter poly --workers 2 --estimator pgram --estimator lwhittle > odd_pgram_lw_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 10 --take 1500 --filter none --filter poly --estimator wavelet > tracesrc_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 20 --take 1200 --filter none --filter linear --estimator rs --estimator wavelet --format aligned --out tracesrc_bins.aligned

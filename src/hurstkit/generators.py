@@ -23,7 +23,6 @@ Gaussian noise"; Granger & Joyeux (1980) for fractional differencing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +42,8 @@ __all__ = [
     "fgn_spectral_density",
     "fractional_ma_coefficients",
 ]
+
+_AR1_CHUNK = 4096  # innovations turned into Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def gen_iid_gaussian(n: int, seed: int) -> TimeSeries:
     if n < 1:
         raise SeriesTooShort(f"need N >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    return TimeSeries(rng.standard_normal(n))
+    return TimeSeries._from_values(rng.standard_normal(n))
 
 
 def fgn_spectral_density(frequencies: np.ndarray, hurst: float) -> np.ndarray:
@@ -182,8 +183,10 @@ def gen_fgn(spec: FgnSpec) -> TimeSeries:
     rng = np.random.default_rng(spec.seed)
     m = n // 2
     lam = 2.0 * np.pi * np.arange(1, m + 1) / n
-    density = fgn_spectral_density(lam, hurst)
-    mags = np.sqrt(density * rng.exponential(1.0, m))
+    mags = fgn_spectral_density(lam, hurst)
+    del lam
+    mags *= rng.exponential(1.0, m)
+    np.sqrt(mags, out=mags)
     phases = rng.uniform(0.0, 2.0 * np.pi, m)
 
     # z = mags * exp(1j * phases), built in place in its bins, then mirrored
@@ -194,10 +197,12 @@ def gen_fgn(spec: FgnSpec) -> TimeSeries:
     np.multiply(mags, z, out=z)
     # for even n the Nyquist bin keeps z_m (real part below), so z_m is not mirrored
     np.conjugate(z[-2::-1] if n % 2 == 0 else z[::-1], out=coeffs[m + 1 :])
-    path = np.fft.ifft(coeffs, out=coeffs).real
+    del z, mags, phases  # hold only the coefficients through the inverse FFT and the real part's copy
+    path = np.fft.ifft(coeffs, out=coeffs).real.copy()
+    del coeffs
     path -= path.mean()
     path /= path.std()
-    return TimeSeries(path)
+    return TimeSeries._from_values(path)
 
 
 def fractional_ma_coefficients(d: float, count: int) -> np.ndarray:
@@ -235,8 +240,17 @@ def gen_ar1(spec: Ar1Spec) -> TimeSeries:
     X_0 ~ N(0, sigma^2 / (1 - phi^2)); X_t = phi X_{t-1} + eps_t.
     """
     rng = np.random.default_rng(spec.seed)
-    x0 = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
-    eps = rng.standard_normal(spec.n - 1) * spec.sigma
+    x = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
+    eps = rng.standard_normal(spec.n - 1)
+    eps *= spec.sigma
     phi = spec.phi
-    steps = itertools.accumulate(eps.tolist(), lambda x, e: e + phi * x, initial=x0)
-    return TimeSeries(np.fromiter(steps, np.float64, spec.n))
+    path = np.empty(spec.n)
+    path[0] = x
+    # Python floats a chunk at a time: the whole innovation array as a list would be 4x its size
+    for start in range(0, eps.size, _AR1_CHUNK):
+        steps = []
+        for e in eps[start : start + _AR1_CHUNK].tolist():
+            x = e + phi * x
+            steps.append(x)
+        path[start + 1 : start + 1 + len(steps)] = steps
+    return TimeSeries._from_values(path)

@@ -80,13 +80,26 @@ class TimeSeries:
     """
 
     def __init__(self, values: Iterable[float]):
-        arr = np.asarray(values, dtype=np.float64)
+        self._adopt(np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _from_values(cls, arr: np.ndarray) -> TimeSeries:
+        """A series that keeps (and freezes) a 1-d float64 array the package
+        has just built and holds no other reference to, without a copy."""
+        series = cls.__new__(cls)
+        series._adopt(arr)
+        return series
+
+    def _adopt(self, arr: np.ndarray) -> None:
         if arr.ndim != 1:
             raise ValueError(f"expected a 1-d sequence, got shape {arr.shape}")
+        if arr.dtype != np.float64:
+            raise ValueError(f"expected float64 values, got {arr.dtype}")
+        if not arr.flags.c_contiguous or arr.base is not None:
+            raise ValueError("expected a contiguous array that owns its data")
         if arr.size and not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValueError(f"non-finite value at index {bad}")
-        arr = arr.copy()
         arr.setflags(write=False)
         self._values = arr
 
@@ -174,9 +187,9 @@ def aggregate(series: TimeSeries, block: int) -> TimeSeries:
     if block < 1 or block > n:
         raise BadBlock(f"block size must be in [1, {n}], got {block}")
     if block == 1:
-        return TimeSeries(series.values)
+        return series  # a series is immutable
     nblocks = n // block
-    return TimeSeries(series.values[: nblocks * block].reshape(nblocks, block).mean(axis=1))
+    return TimeSeries._from_values(series.values[: nblocks * block].reshape(nblocks, block).mean(axis=1))
 
 
 _WRITE_SLICE = 1 << 16  # values formatted per write: bounded memory at any length

@@ -119,7 +119,9 @@ def corrupt(series: TimeSeries, kind: CorruptionKind, seed: int = 0) -> TimeSeri
     raw_std = raw.std()
     if raw_std == 0.0:
         raise DegenerateSeries("corrupting signal degenerate at this length")
-    return TimeSeries(series.values + raw * (sigma / raw_std))
+    scaled = raw * (sigma / raw_std)
+    scaled += series.values  # the same bits as series.values + scaled: addition commutes
+    return TimeSeries._from_values(scaled)
 
 
 def filter_log(series: TimeSeries) -> TimeSeries:

@@ -252,7 +252,9 @@ def test_ar1_of_one_point_is_the_stationary_first_draw(seed, phi, sigma):
 
 # --- in-place forms against the allocating ones they replaced --------------
 
-PINNED_LENGTHS = (1, 2, 3, 1000, 1001, 4097, 98_183, 2**17)
+# gen_ar1 runs its recursion over 4096-innovation chunks: 4096, 4098 and 8193
+# points leave a last chunk of 4095, 1 and 0 values
+PINNED_LENGTHS = (1, 2, 3, 1000, 1001, 4096, 4097, 4098, 8193, 98_183, 2**17)
 
 
 def _fgn_allocating(spec):
@@ -328,6 +330,10 @@ def test_ar1_keeps_the_bits_of_the_listed_form(n):
     phi=st.floats(-0.999, 0.999),
     sigma=st.floats(1e-3, 1e3),
 )
+@example(n=4096, seed=1, phi=0.9, sigma=1.0)
+@example(n=4097, seed=2, phi=-0.5, sigma=2.0)
+@example(n=4098, seed=3, phi=0.99, sigma=0.5)
+@example(n=8193, seed=4, phi=0.3, sigma=1.0)
 def test_ar1_keeps_the_bits_of_the_listed_form_property(n, seed, phi, sigma):
     spec = Ar1Spec(phi=phi, n=n, seed=seed, sigma=sigma)
     assert gen_ar1(spec).values.tobytes() == _ar1_listed(spec).tobytes()

@@ -114,7 +114,7 @@ def test_aggregate_block_errors():
 def test_aggregate_identity_and_chaining():
     rng = np.random.default_rng(5)
     series = TimeSeries(rng.standard_normal(120))
-    assert np.array_equal(aggregate(series, 1).values, series.values)
+    assert aggregate(series, 1) is series  # a series is immutable: no copy
     # a*b divides N=120
     chained = aggregate(aggregate(series, 4), 5)
     direct = aggregate(series, 20)

@@ -36,6 +36,21 @@ def test_corruption_std_matches_exactly(base, kind):
     assert residual.std() == pytest.approx(base.stats.std, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [4999, 5000])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_corrupt_keeps_the_bits_of_the_summed_form(n, kind):
+    series = TimeSeries(np.random.default_rng(n).standard_normal(n) * 2.3 + 1.0)
+    t = np.arange(n, dtype=np.float64)
+    if kind.name == "ar1":
+        raw = hk.gen_ar1(hk.Ar1Spec(phi=kind.phi, n=n, seed=9)).values
+    elif kind.name == "sine":
+        raw = np.sin(2.0 * np.pi * kind.cycles * t / n)
+    else:
+        raw = t - (n - 1) / 2.0
+    want = series.values + raw * (series.stats.std / raw.std())
+    assert corrupt(series, kind, seed=9).values.tobytes() == want.tobytes()
+
+
 def test_corrupt_rejects_constant_series():
     with pytest.raises(hk.DegenerateSeries):
         corrupt(TimeSeries([3.0] * 100), CorruptionKind.sine())
