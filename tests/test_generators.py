@@ -252,8 +252,8 @@ def test_ar1_of_one_point_is_the_stationary_first_draw(seed, phi, sigma):
 
 # --- in-place forms against the allocating ones they replaced --------------
 
-# gen_ar1 runs its recursion over 4096-innovation chunks: 4096, 4098 and 8193
-# points leave a last chunk of 4095, 1 and 0 values
+# gen_ar1 runs its recursion over 4096-innovation chunks: 4096, 4097, 4098 and
+# 8193 points hold 4095, 4096, 4097 and 8192 innovations
 PINNED_LENGTHS = (1, 2, 3, 1000, 1001, 4096, 4097, 4098, 8193, 98_183, 2**17)
 
 
