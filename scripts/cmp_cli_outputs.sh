@@ -47,7 +47,13 @@ run_all() (
   hk generate --model ar1 --phi -0.9 --n 131072 --seed 14 --out ar1_m09_2e17.txt
   # the recursion runs over 4096-innovation chunks: these leave a last chunk of one
   for n in 4098 8194; do hk generate --model ar1 --phi 0.9 --n $n --seed 19 --out ar1_$n.txt; done
+  # the block path: phi = 0 checks one step per block; 1e6 points take four spans;
+  # at 2^17 points it runs up to |phi| = 0.99512 and leaves 0.996 to the loop alone
+  hk generate --model ar1 --phi 0 --n 131072 --seed 22 --out ar1_0_2e17.txt
+  hk generate --model ar1 --phi 0.9 --n 1000000 --seed 23 --out ar1_09_1e6.txt
+  for phi in 0.995 0.996; do hk generate --model ar1 --phi $phi --n 131072 --seed 24 --out ar1_${phi}_2e17.txt; done
   hk corrupt --kind ar1 --in fgn_2e17.txt --seed 15 --out corrupt_ar1_2e17.txt
+  hk corrupt --kind ar1 --phi 0 --in fgn_2e17.txt --seed 25 --out corrupt_ar1_0_2e17.txt
   hk estimate --method lwhittle --in fgn_2e17.txt --out est_lw_fgn_2e17.csv
   hk estimate --method lwhittle --bandwidth 300 --in ar1.txt --out est_lw_ar1.csv
   # the minimiser at each bound, where golden steps end in a tol1-sized step: 1.49 on a trend,

@@ -14,6 +14,22 @@ fractional integration (psi_0 = 1, psi_k = psi_{k-1} * (k-1+d)/k) applied
 to the innovations, followed by the MA and AR filters; a warm-up prefix
 of K = N samples is generated and discarded.
 
+AR(1) paths hold, bit for bit, what the scalar loop x = e + phi * x gives,
+but most steps are vectorised.  The innovations are cut into blocks of L
+points that run in lockstep, one multiply and one add per step across all
+blocks, each block starting from a guess at the path value just before it.
+Each block's first W values are then recomputed from the end of the block
+before, and the value at step W-1 must have the bits of the guessed run.
+Two runs of this deterministic recursion that agree at one step agree at
+every later one, and block 0 starts from X_0 itself, so by induction every
+block that passes its check holds the loop's bits.  A block that fails
+(with the next block, if the failure changed its end) and the tail of
+fewer than L points are finished by the loop.  W = 10 / -ln|phi| steps
+(guessed runs met the exact path within about 8 / -ln|phi|), L is
+max(128, 2W), and at most 2^18 points run at once.  The loop runs alone
+where fewer than 32 blocks fit: below 32 L points, or for |phi| above
+0.99512 at N = 2^17 and above 0.99756 at any N.
+
 Every generator is a pure function of its spec: the random generator is
 instantiated per call from the seed and no global state is touched.
 
@@ -44,6 +60,10 @@ __all__ = [
 ]
 
 _AR1_CHUNK = 4096  # innovations turned into Python floats at a time
+_AR1_CHECK = 10.0  # checked steps per block, in units of 1 / -ln|phi|
+_AR1_MIN_BLOCK = 128  # points per block at least; a block is twice its checked steps
+_AR1_MIN_BLOCKS = 32  # per span: with fewer, the loop alone is faster
+_AR1_SPAN = 1 << 18  # points per span at most: the size of the transposed scratch
 
 
 @dataclass(frozen=True)
@@ -234,23 +254,128 @@ def gen_farima(spec: FarimaSpec) -> TimeSeries:
     return TimeSeries(x[warmup:])
 
 
-def gen_ar1(spec: Ar1Spec) -> TimeSeries:
-    """Zero-mean AR(1) path, stationary from t=0.
+def _ar1_loop(out: np.ndarray, eps: np.ndarray, phi: float, x: float) -> None:
+    """out[i] = x = eps[i] + phi * x for each i in turn, in Python floats.
 
-    X_0 ~ N(0, sigma^2 / (1 - phi^2)); X_t = phi X_{t-1} + eps_t.
+    The exact recursion, one step at a time, whose bits the block path
+    reproduces; it finishes whatever the block path leaves.  ``out`` may be
+    ``eps`` itself: each chunk's innovations are read before it is written.
     """
-    rng = np.random.default_rng(spec.seed)
-    x = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
-    eps = rng.standard_normal(spec.n - 1)
-    eps *= spec.sigma
-    phi = spec.phi
-    path = np.empty(spec.n)
-    path[0] = x
     # Python floats a chunk at a time: the whole innovation array as a list would be 4x its size
     for start in range(0, eps.size, _AR1_CHUNK):
         steps = []
         for e in eps[start : start + _AR1_CHUNK].tolist():
             x = e + phi * x
             steps.append(x)
-        path[start + 1 : start + 1 + len(steps)] = steps
+        out[start : start + len(steps)] = steps
+
+
+def _ar1_plan(phi: float, n: int) -> tuple[int, int] | None:
+    """(block length, checked steps) for the block path on n points, or None
+    where the loop alone is faster: too few points for its fixed cost, or
+    |phi| so close to 1 that a block could not be checked in good time."""
+    checks = 1 if phi == 0.0 else max(1, math.ceil(_AR1_CHECK / -math.log(abs(phi))))
+    block = max(_AR1_MIN_BLOCK, 2 * checks)
+    if _AR1_MIN_BLOCKS * block > min(n - 1, _AR1_SPAN):
+        return None
+    return block, checks
+
+
+def _ar1_starts(eps: np.ndarray, phi: float, x: float) -> np.ndarray:
+    """Approximate path values at the end of each block of innovations (one
+    block per row of ``eps``), the path before the first block ending at ``x``.
+
+    Each block's end from a zero start is a weighted sum of its innovations
+    (an einsum: no BLAS), carried from block to block by phi**L in Python
+    floats.  Its rounding differs from the recursion's, so the block path
+    uses these values only as guesses that it then checks.
+    """
+    length = eps.shape[1]
+    weights = phi ** np.arange(length - 1, -1, -1, dtype=np.float64)
+    carry = phi**length
+    ends = np.einsum("ij,j->i", eps, weights).tolist()
+    for i, local in enumerate(ends):
+        x = local + carry * x
+        ends[i] = x
+    return np.array(ends)
+
+
+def _ar1_span(eps: np.ndarray, rows: np.ndarray, prev: np.ndarray, phi: float, x: float, checks: int) -> None:
+    """Overwrite ``eps`` (blocks x L innovations, the path before it ending at
+    ``x``) with the path values the recursion gives, exactly.
+
+    ``rows`` (L x blocks) and ``prev`` (blocks) are scratch: the blocks run
+    in lockstep down the rows of ``rows``, a transposed copy, so that every
+    step is one contiguous multiply and one add.
+    """
+    count, length = eps.shape
+    prev[0] = x
+    prev[1:] = _ar1_starts(eps[:-1], phi, x)
+    np.copyto(rows, eps.T)
+    np.multiply(prev, phi, out=prev)
+    np.add(rows[0], prev, out=rows[0])
+    for k in range(1, length):
+        np.multiply(rows[k - 1], phi, out=prev)
+        np.add(rows[k], prev, out=rows[k])
+    # Recompute the first values of blocks 1.. from the end of the block
+    # before; a block whose value at step checks-1 has the same bits as its
+    # guessed run continues exactly as that run does.
+    guessed = rows[checks - 1, 1:].copy()
+    lead = prev[1:]
+    np.multiply(rows[-1, :-1], phi, out=lead)
+    np.add(eps[1:, 0], lead, out=rows[0, 1:])
+    for k in range(1, checks):
+        np.multiply(rows[k - 1, 1:], phi, out=lead)
+        np.add(eps[1:, k], lead, out=rows[k, 1:])
+    met = rows[checks - 1, 1:].view(np.int64) == guessed.view(np.int64)
+    if not met.all():
+        # the loop finishes each block that missed; where that changes the
+        # block's end, the next block's check started from a stale value
+        stale = False
+        for j in range(int(np.argmin(met)) + 1, count):
+            if met[j - 1] and not stale:
+                continue
+            first = 0 if stale else checks
+            before = rows[-1, j].tobytes()
+            start = rows[first - 1, j] if first else rows[-1, j - 1]
+            _ar1_loop(rows[first:, j], eps[j, first:], phi, float(start))
+            stale = rows[-1, j].tobytes() != before
+    np.copyto(eps, rows.T)
+
+
+def _ar1_blocks(path: np.ndarray, phi: float, block: int, checks: int) -> int:
+    """Make path[1 : end + 1] exact over whole blocks of ``block`` points and
+    return ``end``; path[0] is exact, and path[1:] holds the innovations."""
+    blocks = (path.size - 1) // block
+    spans = -(-blocks // (_AR1_SPAN // block))
+    widest = -(-blocks // spans)
+    rows, prev = np.empty(widest * block), np.empty(widest)
+    end = 0
+    for i in range(spans):
+        count = (blocks + i) // spans  # the spans' counts add up to blocks
+        eps = path[end + 1 : end + 1 + count * block].reshape(count, block)
+        _ar1_span(eps, rows[: count * block].reshape(block, count), prev[:count], phi, float(path[end]), checks)
+        end += count * block
+    return end
+
+
+def gen_ar1(spec: Ar1Spec) -> TimeSeries:
+    """Zero-mean AR(1) path, stationary from t=0.
+
+    X_0 ~ N(0, sigma^2 / (1 - phi^2)); X_t = phi X_{t-1} + eps_t, each step
+    rounded as the loop x = e + phi * x rounds it.  Whole blocks of points
+    run in lockstep from guessed starts and are kept only where a recomputed
+    value has the guessed run's bits, which makes them exact from there on
+    (module docstring); failed blocks, the tail and short or |phi| ~ 1 paths
+    take the loop.
+    """
+    rng = np.random.default_rng(spec.seed)
+    phi = float(spec.phi)
+    path = np.empty(spec.n)
+    path[0] = rng.standard_normal() * spec.sigma / math.sqrt(1.0 - spec.phi**2)
+    rng.standard_normal(out=path[1:])  # the innovations, overwritten by the path in place
+    path[1:] *= spec.sigma
+    plan = _ar1_plan(phi, spec.n)
+    end = 0 if plan is None else _ar1_blocks(path, phi, *plan)
+    _ar1_loop(path[end + 1 :], path[end + 1 :], phi, float(path[end]))
     return TimeSeries._from_values(path)

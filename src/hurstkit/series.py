@@ -422,7 +422,7 @@ def _load_values(buf: bytes) -> TimeSeries | None:
     if the scanner must decide."""
     columns = _decimal_columns(buf, _SERIES_LINE)
     if columns is not None:
-        return TimeSeries(columns[0])
+        return TimeSeries._from_values(columns[0])
     table = _loadtxt(buf, _VALUE)
     if table is None:
         return None

@@ -247,7 +247,8 @@ def bin_bytes(trace: PacketTrace, bin_width: float) -> TimeSeries:
     if not keep.all():
         idx, sizes = idx[keep], sizes[keep]
     try:
-        return TimeSeries(np.bincount(idx, weights=sizes, minlength=nbins))
+        counts = np.bincount(idx, weights=sizes, minlength=nbins)
+        return TimeSeries._from_values(counts.astype(np.float64, copy=False))  # int64 when empty
     except MemoryError:
         raise BadBinWidth(
             f"bin width {bin_width!r} cuts the {span!r} s trace into {nbins} bins, "
@@ -261,4 +262,4 @@ def interarrival_series(trace: PacketTrace) -> TimeSeries:
         raise EmptyTrace("cannot derive interarrivals from an empty trace")
     if len(trace) < 2:
         raise TooFewRecords("interarrival series needs at least two records")
-    return TimeSeries(np.diff(trace._timestamps))
+    return TimeSeries._from_values(np.diff(trace._timestamps))

@@ -132,7 +132,7 @@ def filter_log(series: TimeSeries) -> TimeSeries:
         raise NonPositiveData(
             f"log filter needs positive data; value {v[bad[0]]} at index {int(bad[0])}"
         )
-    return TimeSeries(np.log(v))
+    return TimeSeries._from_values(np.log(v))
 
 
 def _detrend(values: np.ndarray, degree: int) -> np.ndarray:
@@ -174,7 +174,7 @@ def filter_linear_detrend(series: TimeSeries) -> TimeSeries:
     n = len(series)
     if n < 2:
         raise SeriesTooShort("linear detrending needs N >= 2")
-    return TimeSeries(_detrend(series.values, 1))
+    return TimeSeries._from_values(_detrend(series.values, 1))
 
 
 def filter_poly_detrend(series: TimeSeries, degree: int = 10) -> TimeSeries:
@@ -188,7 +188,7 @@ def filter_poly_detrend(series: TimeSeries, degree: int = 10) -> TimeSeries:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if n < degree + 2:
         raise SeriesTooShort(f"polynomial removal of degree {degree} needs N >= {degree + 2}")
-    return TimeSeries(_detrend(series.values, degree))
+    return TimeSeries._from_values(_detrend(series.values, degree))
 
 
 def apply_filter(series: TimeSeries, kind: FilterKind) -> TimeSeries:

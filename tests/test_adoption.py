@@ -2,10 +2,12 @@
 matrix row costs in memory.
 
 ``TimeSeries(values)`` copies its input; ``TimeSeries._from_values(arr)``
-keeps an array the package has just built, so the generators, corruptions
-and ``aggregate`` hand their results over without a second copy.
+keeps an array the package has just built, so the generators, corruptions,
+filters, ``aggregate``, the series reader's kernel and the trace derivations
+hand their results over without a second copy.
 """
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -15,13 +17,21 @@ from hurstkit import (
     Ar1Spec,
     CorruptionKind,
     FgnSpec,
+    PacketTrace,
     TimeSeries,
     aggregate,
+    bin_bytes,
     corrupt,
+    filter_linear_detrend,
+    filter_log,
+    filter_poly_detrend,
     gen_ar1,
     gen_fgn,
     gen_iid_gaussian,
+    interarrival_series,
+    read_series,
 )
+from hurstkit.series import _SERIES_LINE, _decimal_columns
 
 MIB = 1 << 20
 
@@ -73,6 +83,10 @@ def test_from_values_names_a_non_finite_value_as_the_constructor_does(bad):
 
 N = 2**17
 BASE = gen_fgn(FgnSpec(hurst=0.7, n=N, seed=3))
+POSITIVE = TimeSeries._from_values(np.exp(BASE.values))
+# plain-decimal text, which the series reader's kernel takes
+DECIMALS = b"".join(b"%d.%03d\n" % (i % 977, i % 1000) for i in range(4096))
+TRACE = PacketTrace(np.arange(4096) * 0.001, np.full(4096, 576))
 # (name, call, traced peak bound in MiB for a 2^17-point call)
 BUILDS = [
     ("gen_fgn", lambda: gen_fgn(FgnSpec(hurst=0.7, n=N, seed=1)), 4.5),
@@ -82,7 +96,17 @@ BUILDS = [
     ("corrupt-sine", lambda: corrupt(BASE, CorruptionKind.sine()), None),
     ("corrupt-trend", lambda: corrupt(BASE, CorruptionKind.linear_trend()), 2.5),
     ("aggregate", lambda: aggregate(BASE, 3), None),
+    ("read_series-kernel", lambda: read_series(io.BytesIO(DECIMALS)), None),
+    ("bin_bytes", lambda: bin_bytes(TRACE, 0.01), None),
+    ("interarrival_series", lambda: interarrival_series(TRACE), None),
+    ("filter_log", lambda: filter_log(POSITIVE), None),
+    ("filter_linear_detrend", lambda: filter_linear_detrend(BASE), None),
+    ("filter_poly_detrend", lambda: filter_poly_detrend(BASE), None),
 ]
+
+
+def test_the_kernel_reads_the_decimal_text():
+    assert _decimal_columns(DECIMALS, _SERIES_LINE) is not None
 
 
 @pytest.mark.parametrize("build", [b[1] for b in BUILDS], ids=[b[0] for b in BUILDS])
@@ -91,6 +115,20 @@ def test_built_series_are_adopted(build):
     assert values.dtype == np.float64
     assert values.flags.c_contiguous and not values.flags.writeable
     assert values.base is None
+
+
+@pytest.mark.parametrize("build", [b[1] for b in BUILDS], ids=[b[0] for b in BUILDS])
+def test_built_series_are_not_copied(monkeypatch, build):
+    copies = []
+    init = TimeSeries.__init__
+
+    def counted_init(series, values):
+        copies.append(len(values))
+        init(series, values)
+
+    monkeypatch.setattr(TimeSeries, "__init__", counted_init)
+    build()
+    assert copies == []
 
 
 @pytest.mark.parametrize(

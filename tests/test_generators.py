@@ -337,3 +337,109 @@ def test_ar1_keeps_the_bits_of_the_listed_form(n):
 def test_ar1_keeps_the_bits_of_the_listed_form_property(n, seed, phi, sigma):
     spec = Ar1Spec(phi=phi, n=n, seed=seed, sigma=sigma)
     assert gen_ar1(spec).values.tobytes() == _ar1_listed(spec).tobytes()
+
+
+# --- the AR(1) block path: guessed block starts, checked against the loop --
+
+
+def _spy_on_the_loop(monkeypatch):
+    """The innovation counts each call of the scalar loop sees."""
+    seen = []
+    loop = hk.generators._ar1_loop
+
+    def spy(out, eps, phi, x):
+        seen.append(eps.size)
+        loop(out, eps, phi, x)
+
+    monkeypatch.setattr(hk.generators, "_ar1_loop", spy)
+    return seen
+
+
+def _lengths_around_blocks(phi, blocks):
+    """n = kL - 1, kL, kL + 1 and kL + 2 for k = ``blocks`` and phi's block
+    length L: n around k blocks, and the n whose n - 1 innovations fill them."""
+    block = (hk.generators._ar1_plan(phi, 2**20) or (hk.generators._AR1_MIN_BLOCK,))[0]
+    return [blocks * block + d for d in (-1, 0, 1, 2)]
+
+
+# one block more than a span holds, at phi 0.9 (L = 190) and 0 (L = 128)
+SPAN_BLOCKS = {0.9: hk.generators._AR1_SPAN // 190 + 1, 0.0: hk.generators._AR1_SPAN // 128 + 1}
+
+
+@pytest.mark.parametrize("phi", [0.0, -0.0, 5e-324, -5e-324, 0.5, 0.9, -0.99, 0.9999, -0.9999])
+def test_ar1_keeps_the_bits_of_the_listed_form_around_block_multiples(phi):
+    lengths = _lengths_around_blocks(phi, hk.generators._AR1_MIN_BLOCKS)  # the fewest the block path takes
+    if phi in SPAN_BLOCKS:
+        lengths += _lengths_around_blocks(phi, SPAN_BLOCKS[phi])
+    for n in lengths:
+        spec = Ar1Spec(phi=phi, n=n, seed=n, sigma=1.5)
+        assert gen_ar1(spec).values.tobytes() == _ar1_listed(spec).tobytes()
+
+
+def test_ar1_plan_follows_phi_and_n():
+    assert hk.generators._ar1_plan(0.9, 2**17) == (190, 95)
+    assert hk.generators._ar1_plan(0.0, 2**17) == hk.generators._ar1_plan(5e-324, 2**17) == (128, 1)
+    # the cut-offs: too few points for 32 blocks, or |phi| too close to 1 at 2^17
+    assert hk.generators._ar1_plan(0.9, 32 * 190) is None
+    assert hk.generators._ar1_plan(0.9, 32 * 190 + 1) == (190, 95)
+    assert hk.generators._ar1_plan(0.995, 2**17) == (3990, 1995)
+    assert hk.generators._ar1_plan(0.996, 2**17) is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_ar1(Ar1Spec(phi=0.9, n=2**17, seed=1)),
+        lambda: hk.corrupt(gen_fgn(FgnSpec(hurst=0.7, n=2**17, seed=3)), hk.CorruptionKind.ar1(), seed=2),
+    ],
+    ids=["gen_ar1", "corrupt-ar1"],
+)
+def test_ar1_at_2_17_takes_the_block_path(monkeypatch, build):
+    seen = _spy_on_the_loop(monkeypatch)
+    build()
+    block = hk.generators._ar1_plan(0.9, 2**17)[0]
+    assert seen == [(2**17 - 1) % block]  # the loop sees only the tail
+    assert seen[0] < block
+
+
+@pytest.mark.parametrize("phi, n", [(0.9, 4000), (0.996, 2**17), (-0.9999, 2**17)])
+def test_ar1_loop_runs_alone_where_blocks_cannot_beat_it(monkeypatch, phi, n):
+    seen = _spy_on_the_loop(monkeypatch)
+    gen_ar1(Ar1Spec(phi=phi, n=n, seed=1))
+    assert seen == [n - 1]
+
+
+@pytest.mark.parametrize("spoil", ["middle", "last", "every", "nan"])
+@pytest.mark.parametrize("phi", [0.9, -0.5])
+def test_ar1_keeps_the_bits_of_the_listed_form_from_spoiled_starts(monkeypatch, spoil, phi):
+    guess = hk.generators._ar1_starts
+
+    def spoiled(eps, phi, x):
+        starts = guess(eps, phi, x)
+        if spoil == "middle":
+            starts[starts.size // 2] += 1.0
+        elif spoil == "last":
+            starts[-1] += 1.0
+        elif spoil == "every":
+            starts += 1.0
+        else:
+            starts[starts.size // 2] = np.nan
+        return starts
+
+    monkeypatch.setattr(hk.generators, "_ar1_starts", spoiled)
+    seen = _spy_on_the_loop(monkeypatch)
+    spec = Ar1Spec(phi=phi, n=300_000, seed=7)  # two spans at both phis
+    assert gen_ar1(spec).values.tobytes() == _ar1_listed(spec).tobytes()
+    block, checks = hk.generators._ar1_plan(phi, spec.n)
+    assert sum(seen) >= (spec.n - 1) % block + block - checks  # the loop finished a spoiled block
+
+
+def test_ar1_block_check_compares_bits_not_values(monkeypatch):
+    # innovations of -0.0 keep a path's zero sign: from +0.0 the path is +0.0
+    # throughout, while a block guessed to start at -0.0 stays at -0.0, an equal value
+    monkeypatch.setattr(hk.generators, "_ar1_starts", lambda eps, phi, x: np.full(eps.shape[0], -0.0))
+    n = 32 * 128 + 1
+    path = np.full(n, -0.0)
+    path[0] = 0.0
+    assert hk.generators._ar1_blocks(path, 0.5, *hk.generators._ar1_plan(0.5, n)) == n - 1
+    assert not np.signbit(path).any()
