@@ -52,6 +52,12 @@ run_all() (
   hk generate --model ar1 --phi 0 --n 131072 --seed 22 --out ar1_0_2e17.txt
   hk generate --model ar1 --phi 0.9 --n 1000000 --seed 23 --out ar1_09_1e6.txt
   for phi in 0.995 0.996; do hk generate --model ar1 --phi $phi --n 131072 --seed 24 --out ar1_${phi}_2e17.txt; done
+  # a block of each of these paths misses its check, so the loop redoes its span;
+  # corrupt --seed 37 draws the first of them as its AR(1) noise
+  for ps in 0.9:37 -0.9:129 0.5:53; do
+    hk generate --model ar1 --phi ${ps%:*} --n 131072 --seed ${ps#*:} --out ar1_miss_${ps%:*}_2e17.txt
+  done
+  hk corrupt --kind ar1 --in fgn_2e17.txt --seed 37 --out corrupt_ar1_37_2e17.txt
   hk corrupt --kind ar1 --in fgn_2e17.txt --seed 15 --out corrupt_ar1_2e17.txt
   hk corrupt --kind ar1 --phi 0 --in fgn_2e17.txt --seed 25 --out corrupt_ar1_0_2e17.txt
   hk estimate --method lwhittle --in fgn_2e17.txt --out est_lw_fgn_2e17.csv
@@ -151,6 +157,11 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   refuse non_ascii estimate --method rs --in non_ascii.txt
   printf '1\n0\n2\n' > zeros.txt
   refuse log_zeros filter --kind log --in zeros.txt
+  # corrupt and filter refuse a key their kind does not read, a second phi and an explosive one
+  refuse corrupt_sine_seed corrupt --kind sine --seed 2 --in fgn.txt
+  refuse corrupt_two_phi corrupt --kind ar1 --phi 0.5 --phi 0.3 --in fgn.txt
+  refuse corrupt_phi_1.5 corrupt --kind ar1 --phi 1.5 --in fgn.txt
+  refuse filter_log_degree filter --kind log --degree 4 --in fgn.txt
   refuse n_1e15 generate --model fgn --n 1000000000000000
   # more points than an array can index, and more workers than the matrix may start
   for m in fgn farima ar1 iid; do refuse n_1e20_$m generate --model $m --n 100000000000000000000; done

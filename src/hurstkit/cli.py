@@ -71,8 +71,9 @@ def _cmd_source(args: argparse.Namespace) -> int:
     return _write_series_arg(build_source(config).make(config.get("seed", 0)), args.out)
 
 
-def _cmd_corrupt(args: argparse.Namespace) -> int:
-    (name,) = CORRUPTIONS(args.kind)
+def _cmd_transform(args: argparse.Namespace) -> int:
+    """corrupt or filter, as the subcommand's vocabulary names the kind."""
+    (name,) = args.vocabulary(args.kind)
     fields = cast_config(_flags(args))
     if "seed" in fields and name != "ar1":
         raise ConfigError(f"key 'seed' is not read by transform {name!r}")
@@ -82,16 +83,10 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
         if len(fields["phi"]) > 1:
             raise ConfigError(f"an ar1 corruption takes one phi, got {len(fields['phi'])}")
         fields["phi"] = fields["phi"][0]
-    kind = CorruptionKind(name=name, **fields)
-    return _write_series_arg(corrupt(FileSource(args.infile).make(0), kind, seed=seed), args.out)
-
-
-def _cmd_filter(args: argparse.Namespace) -> int:
-    (name,) = FILTERS(args.kind)
-    fields = cast_config(_flags(args))
-    refuse_unread(fields, transforms=[name])
-    kind = FilterKind(name=name, **fields)
-    return _write_series_arg(apply_filter(FileSource(args.infile).make(0), kind), args.out)
+    kind = (CorruptionKind if args.vocabulary is CORRUPTIONS else FilterKind)(name=name, **fields)
+    series = FileSource(args.infile).make(0)
+    out = corrupt(series, kind, seed=seed) if args.vocabulary is CORRUPTIONS else apply_filter(series, kind)
+    return _write_series_arg(out, args.out)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -145,7 +140,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.config:
         with open_input(args.config) as fh:
             text = fh.read()
-        mapping = parse_config(text.decode("ascii"))
+        mapping = parse_config(text.decode("ascii") if isinstance(text, bytes) else text)
     spec = build_experiment_spec(mapping | _flags(args))
     matrix = run_matrix(spec)
     text = format_matrix(matrix, spec.fmt)
@@ -184,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     _key_flags(p, "seed", "cycles", "phi")
-    p.set_defaults(func=_cmd_corrupt)
+    p.set_defaults(func=_cmd_transform, vocabulary=CORRUPTIONS)
 
     p = sub.add_parser("filter", help="apply a preprocessing filter")
     p.add_argument("--kind", required=True, choices=[c for c in FILTERS.names if c != "none"])
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     _key_flags(p, "degree")
-    p.set_defaults(func=_cmd_filter)
+    p.set_defaults(func=_cmd_transform, vocabulary=FILTERS)
 
     p = sub.add_parser("estimate", help="estimate the Hurst parameter")
     p.add_argument("--method", required=True, choices=METHODS.names)

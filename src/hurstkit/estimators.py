@@ -49,8 +49,6 @@ __all__ = [
     "METHOD_ORDER",
 ]
 
-METHOD_ORDER = ("rs", "aggvar", "periodogram", "wavelet", "local_whittle")
-
 
 @dataclass(frozen=True)
 class LogLogFit:
@@ -540,9 +538,10 @@ _ESTIMATORS: dict[str, Callable[..., EstimatorReport]] = {
     "rs": est_rs,
     "aggvar": est_aggvar,
     "periodogram": est_periodogram,
-    "local_whittle": est_local_whittle,
     "wavelet": est_wavelet,
+    "local_whittle": est_local_whittle,
 }
+METHOD_ORDER = tuple(_ESTIMATORS)  # the order of every table and of --method all
 
 
 def estimate(series: TimeSeries, method: str, **kwargs) -> EstimatorReport:

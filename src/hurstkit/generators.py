@@ -15,20 +15,20 @@ to the innovations, followed by the MA and AR filters; a warm-up prefix
 of K = N samples is generated and discarded.
 
 AR(1) paths hold, bit for bit, what the scalar loop x = e + phi * x gives,
-but most steps are vectorised.  The innovations are cut into blocks of L
-points that run in lockstep, one multiply and one add per step across all
-blocks, each block starting from a guess at the path value just before it.
-Each block's first W values are then recomputed from the end of the block
-before, and the value at step W-1 must have the bits of the guessed run.
-Two runs of this deterministic recursion that agree at one step agree at
-every later one, and block 0 starts from X_0 itself, so by induction every
-block that passes its check holds the loop's bits.  A block that fails
-(with the next block, if the failure changed its end) and the tail of
-fewer than L points are finished by the loop.  W = 10 / -ln|phi| steps
-(guessed runs met the exact path within about 8 / -ln|phi|), L is
-max(128, 2W), and at most 2^18 points run at once.  The loop runs alone
-where fewer than 32 blocks fit: below 32 L points, or for |phi| above
-0.99512 at N = 2^17 and above 0.99756 at any N.
+but most steps are vectorised.  The innovations are cut into spans of at
+most 2^18 points and each span into blocks of L points that run in
+lockstep, one multiply and one add per step across all blocks, each block
+starting from a guess at the path value just before it.  Each block's
+first W values are then recomputed from the end of the block before, and
+the value at step W-1 must have the bits of the guessed run.  Two runs of
+this deterministic recursion that agree at one step agree at every later
+one, and block 0 starts from the exact value before the span, so by
+induction a span whose blocks all pass their checks holds the loop's
+bits.  The loop redoes a span in which any block fails, and it finishes
+the tail of fewer than L points.  W = 10 / -ln|phi| steps (guessed runs
+met the exact path within about 8 / -ln|phi|) and L is max(128, 2W).  The
+loop runs alone where fewer than 32 blocks fit: below 32 L points, or for
+|phi| above 0.99512 at N = 2^17 and above 0.99756 at any N.
 
 Every generator is a pure function of its spec: the random generator is
 instantiated per call from the seed and no global state is touched.
@@ -258,8 +258,9 @@ def _ar1_loop(out: np.ndarray, eps: np.ndarray, phi: float, x: float) -> None:
     """out[i] = x = eps[i] + phi * x for each i in turn, in Python floats.
 
     The exact recursion, one step at a time, whose bits the block path
-    reproduces; it finishes whatever the block path leaves.  ``out`` may be
-    ``eps`` itself: each chunk's innovations are read before it is written.
+    reproduces; it carries the block path's guesses, redoes a span with a
+    missed block and finishes the tail.  ``out`` may be ``eps`` itself:
+    each chunk's innovations are read before it is written.
     """
     # Python floats a chunk at a time: the whole innovation array as a list would be 4x its size
     for start in range(0, eps.size, _AR1_CHUNK):
@@ -286,18 +287,13 @@ def _ar1_starts(eps: np.ndarray, phi: float, x: float) -> np.ndarray:
     block per row of ``eps``), the path before the first block ending at ``x``.
 
     Each block's end from a zero start is a weighted sum of its innovations
-    (an einsum: no BLAS), carried from block to block by phi**L in Python
-    floats.  Its rounding differs from the recursion's, so the block path
-    uses these values only as guesses that it then checks.
+    (an einsum: no BLAS), which the loop carries from block to block with
+    coefficient phi**L.  Its rounding differs from the recursion's, so the
+    block path uses these values only as guesses that it then checks.
     """
-    length = eps.shape[1]
-    weights = phi ** np.arange(length - 1, -1, -1, dtype=np.float64)
-    carry = phi**length
-    ends = np.einsum("ij,j->i", eps, weights).tolist()
-    for i, local in enumerate(ends):
-        x = local + carry * x
-        ends[i] = x
-    return np.array(ends)
+    ends = np.einsum("ij,j->i", eps, phi ** np.arange(eps.shape[1] - 1, -1, -1, dtype=np.float64))
+    _ar1_loop(ends, ends, phi ** eps.shape[1], x)
+    return ends
 
 
 def _ar1_span(eps: np.ndarray, rows: np.ndarray, prev: np.ndarray, phi: float, x: float, checks: int) -> None:
@@ -308,7 +304,7 @@ def _ar1_span(eps: np.ndarray, rows: np.ndarray, prev: np.ndarray, phi: float, x
     in lockstep down the rows of ``rows``, a transposed copy, so that every
     step is one contiguous multiply and one add.
     """
-    count, length = eps.shape
+    length = eps.shape[1]
     prev[0] = x
     prev[1:] = _ar1_starts(eps[:-1], phi, x)
     np.copyto(rows, eps.T)
@@ -327,20 +323,10 @@ def _ar1_span(eps: np.ndarray, rows: np.ndarray, prev: np.ndarray, phi: float, x
     for k in range(1, checks):
         np.multiply(rows[k - 1, 1:], phi, out=lead)
         np.add(eps[1:, k], lead, out=rows[k, 1:])
-    met = rows[checks - 1, 1:].view(np.int64) == guessed.view(np.int64)
-    if not met.all():
-        # the loop finishes each block that missed; where that changes the
-        # block's end, the next block's check started from a stale value
-        stale = False
-        for j in range(int(np.argmin(met)) + 1, count):
-            if met[j - 1] and not stale:
-                continue
-            first = 0 if stale else checks
-            before = rows[-1, j].tobytes()
-            start = rows[first - 1, j] if first else rows[-1, j - 1]
-            _ar1_loop(rows[first:, j], eps[j, first:], phi, float(start))
-            stale = rows[-1, j].tobytes() != before
-    np.copyto(eps, rows.T)
+    if (rows[checks - 1, 1:].view(np.int64) == guessed.view(np.int64)).all():
+        np.copyto(eps, rows.T)
+    else:  # a block missed: the loop redoes the span from the innovations still in eps
+        _ar1_loop(eps.reshape(-1), eps.reshape(-1), phi, x)
 
 
 def _ar1_blocks(path: np.ndarray, phi: float, block: int, checks: int) -> int:
@@ -364,10 +350,11 @@ def gen_ar1(spec: Ar1Spec) -> TimeSeries:
 
     X_0 ~ N(0, sigma^2 / (1 - phi^2)); X_t = phi X_{t-1} + eps_t, each step
     rounded as the loop x = e + phi * x rounds it.  Whole blocks of points
-    run in lockstep from guessed starts and are kept only where a recomputed
-    value has the guessed run's bits, which makes them exact from there on
-    (module docstring); failed blocks, the tail and short or |phi| ~ 1 paths
-    take the loop.
+    run in lockstep from guessed starts, and a span of them is kept only
+    where a recomputed value in each block has the guessed run's bits, which
+    makes them exact from there on (module docstring); the loop redoes a span
+    with a missed block, finishes the tail and runs short or |phi| ~ 1 paths
+    alone.
     """
     rng = np.random.default_rng(spec.seed)
     phi = float(spec.phi)

@@ -236,6 +236,23 @@ def test_matrix_bad_config_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stdin", [io.StringIO, lambda text: io.TextIOWrapper(io.BytesIO(text.encode("ascii")))],
+    ids=["text-only", "text-over-bytes"],
+)
+@pytest.mark.parametrize(
+    "text", ["source = iid\nn = 2048\nseed = 3\nestimator = rs\n", "nonsense = 1\n"], ids=["config", "unknown-key"]
+)
+def test_matrix_reads_its_config_from_stdin_as_from_a_file(tmp_path, capsys, monkeypatch, stdin, text):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(text, encoding="ascii")
+    code = run_cli("matrix", "--config", str(cfg))
+    want = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", stdin(text))
+    assert run_cli("matrix", "--config", "-") == code
+    assert capsys.readouterr() == want
+
+
 def test_generate_farima_with_coefficients(tmp_path):
     out = tmp_path / "farima.txt"
     assert run_cli(
