@@ -103,6 +103,23 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
   for f in trace_crlf trace_comments trace_epoch trace_epoch_crlf trace_epoch_tab; do
     hk ingest --trace $f.txt --mode bins --bin-width 0.0078125 --out bins_$f.txt
   done
+  # over 1 MiB, the plain-decimal kernel reads its windows on one thread per CPU:
+  # a 120k-packet trace (3 windows; from 1 s on, so every line is in its format)
+  # and a 2.2-MB whole-number series
+  python3 -c "
+import numpy as np
+rng = np.random.default_rng(4)
+t = (2**20 + np.cumsum(np.floor(273 * (1 + rng.pareto(1.5, 120000))))) * 2.0**-20
+s = rng.choice([40, 576, 1500], size=120000)
+print(''.join(f'{a!r} {b}\n' for a, b in zip(t.tolist(), s.tolist())), end='')
+" > trace_120k.txt
+  hk ingest --trace trace_120k.txt --mode bins --bin-width 0.0078125 --out bins_120k.txt
+  hk ingest --trace trace_120k.txt --mode interarrival --out gaps_120k.txt
+  python3 -c "
+import numpy as np
+print(''.join(f'{v}.0\n' for v in np.random.default_rng(5).integers(0, 10**6, 250000).tolist()), end='')
+" > whole_250k.txt
+  hk estimate --method all --in whole_250k.txt --out est_all_whole_250k.csv
   # bin indices are floor(d / w), re-taken as d // w where d / w rounds onto a
   # whole number: non-power-of-two widths, and timestamps on decimal bin edges
   for w in 0.01 0.003; do hk ingest --trace trace.txt --mode bins --bin-width $w --out bins_w$w.txt; done

@@ -139,8 +139,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     mapping: dict[str, list[str]] = {}
     if args.config:
         with open_input(args.config) as fh:
-            text = fh.read()
-        mapping = parse_config(text.decode("ascii") if isinstance(text, bytes) else text)
+            mapping = parse_config(fh.read().decode("ascii"))
     spec = build_experiment_spec(mapping | _flags(args))
     matrix = run_matrix(spec)
     text = format_matrix(matrix, spec.fmt)

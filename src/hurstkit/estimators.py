@@ -116,7 +116,7 @@ def loglog_fit(
     ly = np.log(y)
     sl = slice(lo, hi + 1)
     ws, xs, ys = w[sl], lx[sl], ly[sl]
-    if np.unique(xs).size < 2:
+    if xs.min() == xs.max() or np.isnan(xs).all():  # one distinct value, or only NaN
         raise InsufficientPoints("log-log fit needs at least two distinct abscissae")
     # np.add.reduce, not ``@``: BLAS splits long dot products by thread count
     s0 = ws.sum()
@@ -143,8 +143,10 @@ def loglog_fit(
 
 
 def _log_grid(lo: int, hi: int, points: int) -> np.ndarray:
-    grid = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(int))
-    return grid[grid >= lo]
+    grid = np.sort(np.rint(np.geomspace(lo, hi, points)).astype(int))
+    keep = grid >= lo
+    keep[1:] &= grid[1:] != grid[:-1]  # each size once
+    return grid[keep]
 
 
 def _fit_indices(grid: np.ndarray, lo: float, hi: float) -> tuple[int, int, bool]:

@@ -14,6 +14,7 @@ never shares a random stream with any run's source.
 
 from __future__ import annotations
 
+import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -168,9 +169,11 @@ class GeneratorSource:
 @contextmanager
 def open_input(path: str):
     """Open an input file as bytes, which the readers check are ASCII;
-    '-' means stdin (its text stream where it has no byte buffer)."""
+    '-' means stdin (the UTF-8 bytes of its text where it has no byte
+    buffer, so non-ASCII text is refused as a file's would be)."""
     if path == "-":
-        yield getattr(sys.stdin, "buffer", sys.stdin)
+        buffer = getattr(sys.stdin, "buffer", None)
+        yield buffer if buffer is not None else io.BytesIO(sys.stdin.read().encode("utf-8"))
     else:
         with open(path, "rb") as fh:
             yield fh

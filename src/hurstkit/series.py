@@ -23,6 +23,15 @@ each only where the one before declines:
    lands exactly on a float64 midpoint, whose last 11 significand bits
    read 0b10000000000; those rows are read again with ``float()``.
    Where longdouble is not that format the kernel declines every input.
+   A serial pass cuts the text into windows of at most 1 MiB after a
+   newline, counts each one's rows (its first row follows) and declines
+   a byte above ``9`` or a count of bytes below ``0`` other than one per
+   separator.  The windows are then read on one thread per CPU in
+   ``os.sched_getaffinity`` (at most ``_MAX_THREADS``, the caller's thread
+   among them), which split those CPUs between them and reuse one copy
+   buffer each; the caller's CPU set is restored afterwards.  One
+   window, or one CPU, is read inline.  A window's arithmetic, midpoint re-reads included, is
+   its own, so the columns do not depend on the thread count.
 2. NumPy's C text reader, for any other text it accepts.
 3. A line scanner, the reference for what each format accepts and the
    only source of diagnostics, which name the offending line.
@@ -35,11 +44,14 @@ with ``repr``, and both give the same text.
 from __future__ import annotations
 
 import io
+import os
 import re
 import sys
+import threading
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import IO, Callable, Iterable, TypeVar
 
 import numpy as np
@@ -200,6 +212,9 @@ _DATA_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
 # The plain-decimal kernel reads the text in windows cut at a newline, each
 # copied behind a pad so that every digit word it loads lies in its copy.
 _WINDOW = 1 << 20  # bytes
+# Threads that read windows at once, at most: each holds a window copy and a
+# few MiB of temporaries, so the cap bounds that memory on a many-CPU host.
+_MAX_THREADS = 8
 _PAD = 8
 _MAX_DIGITS = 18  # 10**18 < 2**63: every field is exact in uint64 and int64
 _SERIES_LINE = b".\n"  # D+ "." D+
@@ -299,6 +314,143 @@ def _field(words: np.ndarray, end: np.ndarray, digits: np.ndarray) -> np.ndarray
     return value
 
 
+def _thread_cpus(windows: int) -> list[set[int] | None]:
+    """The CPU set of each window thread: min(windows, CPUs, _MAX_THREADS)
+    threads that split the calling thread's CPUs between them, so no two
+    share one (None each, unsplit, where the platform cannot name CPUs)."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return [None] * min(windows, os.cpu_count() or 1, _MAX_THREADS)
+    threads = min(windows, len(cpus), _MAX_THREADS)
+    return [set(cpus[i::threads]) for i in range(threads)]
+
+
+def _cut_windows(buf: bytes, text: np.ndarray, fields: int) -> tuple[list[tuple[int, int, int]], int] | None:
+    """The kernel's windows as ``(start, stop, first row)``, cut after a
+    newline at most ``_WINDOW`` bytes apart, and the row count; None for a
+    line longer than a window, or a window with a byte above ``9`` (an
+    exponent, inf, nan) or with other than ``fields`` bytes below ``0`` per
+    line (a sign, a ``#``, a blank line, a stray space), so such text
+    declines before any window is parsed.
+    """
+    windows = []
+    start = row = 0
+    while start < text.size:
+        stop = start + _WINDOW
+        if stop < text.size:
+            stop = buf.rfind(b"\n", start, stop) + 1
+            if stop <= start:
+                return None
+        else:
+            stop = text.size
+        chunk = text[start:stop]
+        if (chunk > 57).any():
+            return None
+        lines = int(np.count_nonzero(chunk == 10))
+        below = int(np.count_nonzero(chunk < 48))
+        if chunk[-1] != 10:  # a last line without its newline
+            lines += 1
+            below += 1
+        if below != fields * lines:
+            return None
+        windows.append((start, stop, row))
+        row += lines
+        start = stop
+    return windows, row
+
+
+def _read_window(
+    text: np.ndarray,
+    separators: np.ndarray,
+    decimals: np.ndarray,
+    integers: np.ndarray | None,
+    window: tuple[int, int, int],
+    copy: np.ndarray,
+    words: np.ndarray,
+) -> bool:
+    """Write one window's rows into the columns from its first row on, via
+    the ``copy`` buffer and its ``words``; False where it declines."""
+    start, stop, row = window
+    n = stop - start
+    copy[_PAD : _PAD + n] = text[start:stop]
+    if text[stop - 1] != 10:
+        copy[_PAD + n] = 10
+        n += 1
+    view = copy[_PAD : _PAD + n]
+    at = np.flatnonzero(view < 48)  # fields per line, as _cut_windows counted
+    if (view[at].reshape(-1, separators.size) != separators).any():
+        return False
+    lengths = np.diff(at, prepend=-1).reshape(-1, separators.size)
+    lengths -= 1
+    whole, frac = lengths[:, 0], lengths[:, 1]
+    if lengths.min() < 1 or (whole + frac).max() > _MAX_DIGITS or lengths.max() > _MAX_DIGITS:
+        return False
+    at += _PAD
+    ends = at.reshape(-1, separators.size).T
+    dot, after = ends[0], ends[1]  # around the fraction
+    mantissa = _field(words, dot, whole)
+    mantissa *= _POW10[frac]
+    mantissa += _field(words, after, frac)
+    quotient = mantissa.astype(np.longdouble)
+    quotient /= _POW10_LD[frac]
+    end = row + dot.size
+    decimals[row:end] = quotient
+    if integers is not None:
+        integers[row:end] = _field(words, ends[2], lengths[:, 2])
+    # quotients on a float64 midpoint, where the second rounding may err
+    low = np.ndarray(buffer=quotient, dtype="<u2", shape=quotient.shape, strides=(quotient.itemsize,))
+    for i in np.flatnonzero((low & 0x7FF) == 0x400).tolist():
+        decimals[row + i] = float(copy[dot[i] - whole[i] : after[i]].tobytes())
+    return True
+
+
+def _read_windows(windows: list[tuple[int, int, int]], read: Callable[..., bool]) -> bool:
+    """Whether ``read(window, copy, words)`` accepts every window.
+
+    One window, or one CPU, is read inline.  Otherwise the calling thread
+    and its helpers (``_thread_cpus``) take windows in turn, each kept to
+    its own CPUs and reading through one copy buffer of its own; the
+    caller gets its CPU set back at the end.  Left to the scheduler, a
+    thread that the interpreter lock wakes is often put on the CPU of the
+    thread that woke it, and the windows then run one after another.  The
+    first window to decline stops the rest.
+    """
+    cpu_sets = _thread_cpus(len(windows))
+    pending = iter(windows)
+    lock = threading.Lock()
+    declined = False
+
+    def work(cpus: set[int] | None) -> None:
+        nonlocal declined
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)  # the calling thread only
+        copy = np.zeros(_PAD + _WINDOW + 1, np.uint8)  # + the newline a last line may lack
+        words = np.ndarray(buffer=copy, dtype="<u8", shape=(copy.size - 7,), strides=(1,))
+        while not declined:
+            with lock:
+                window = next(pending, None)
+            if window is None:
+                return
+            if not read(window, copy, words):
+                declined = True
+
+    if len(cpu_sets) == 1:
+        work(None)
+        return not declined
+    with ThreadPoolExecutor(max_workers=len(cpu_sets) - 1) as pool:
+        helpers = [pool.submit(work, cpus) for cpus in cpu_sets[1:]]
+        mask = None if cpu_sets[0] is None else os.sched_getaffinity(0)
+        try:
+            work(cpu_sets[0])
+        finally:
+            if mask is not None:
+                os.sched_setaffinity(0, mask)
+        for helper in helpers:
+            helper.result()
+    return not declined
+
+
 def _decimal_columns(buf: bytes, line: bytes) -> tuple[np.ndarray, ...] | None:
     """The columns of text whose every line is ``D+ "." D+`` (``line`` is
     ``b".\n"``) or ``D+ "." D+ " " D+`` (``line`` is ``b". \n"``), with at
@@ -309,62 +461,18 @@ def _decimal_columns(buf: bytes, line: bytes) -> tuple[np.ndarray, ...] | None:
     if not _EXTENDED or not buf:
         return None
     separators = np.frombuffer(line, np.uint8)
-    fields = separators.size
     text = np.frombuffer(buf, np.uint8)
     head = text[:64]  # most other text shows on its first line: decline before counting lines
     if np.isin(head[head < 48], separators, invert=True).any():
         return None
-    rows = not buf.endswith(b"\n")
-    for i in range(0, text.size, _WINDOW):
-        chunk = text[i : i + _WINDOW]
-        if (chunk > 57).any():
-            return None  # a byte above "9" (an exponent, inf, nan) declines before any window is read
-        rows += int(np.count_nonzero(chunk == 10))
+    cut = _cut_windows(buf, text, separators.size)
+    if cut is None:
+        return None
+    windows, rows = cut
     decimals = np.empty(rows, np.float64)
-    integers = np.empty(rows, np.int64) if fields == 3 else None
-    copy = np.zeros(_PAD + _WINDOW + 1, np.uint8)  # + the newline a last line may lack
-    words = np.ndarray(buffer=copy, dtype="<u8", shape=(copy.size - 7,), strides=(1,))
-    start = row = 0
-    while start < text.size:
-        stop = start + _WINDOW
-        if stop < text.size:
-            stop = buf.rfind(b"\n", start, stop) + 1
-            if stop <= start:
-                return None  # a line longer than a window
-        else:
-            stop = text.size
-        n = stop - start
-        copy[_PAD : _PAD + n] = text[start:stop]
-        if text[stop - 1] != 10:
-            copy[_PAD + n] = 10
-            n += 1
-        window = copy[_PAD : _PAD + n]
-        at = np.flatnonzero(window < 48)
-        if at.size % fields or (window[at].reshape(-1, fields) != separators).any():
-            return None
-        lengths = np.diff(at, prepend=-1).reshape(-1, fields)
-        lengths -= 1
-        whole, frac = lengths[:, 0], lengths[:, 1]
-        if lengths.min() < 1 or (whole + frac).max() > _MAX_DIGITS or lengths.max() > _MAX_DIGITS:
-            return None
-        at += _PAD
-        ends = at.reshape(-1, fields).T
-        dot, after = ends[0], ends[1]  # around the fraction
-        mantissa = _field(words, dot, whole)
-        mantissa *= _POW10[frac]
-        mantissa += _field(words, after, frac)
-        quotient = mantissa.astype(np.longdouble)
-        quotient /= _POW10_LD[frac]
-        end = row + dot.size
-        decimals[row:end] = quotient
-        if integers is not None:
-            integers[row:end] = _field(words, ends[2], lengths[:, 2])
-        # quotients on a float64 midpoint, where the second rounding may err
-        low = np.ndarray(buffer=quotient, dtype="<u2", shape=quotient.shape, strides=(quotient.itemsize,))
-        for i in np.flatnonzero((low & 0x7FF) == 0x400).tolist():
-            decimals[row + i] = float(copy[dot[i] - whole[i] : after[i]].tobytes())
-        row = end
-        start = stop
+    integers = np.empty(rows, np.int64) if separators.size == 3 else None
+    if not _read_windows(windows, partial(_read_window, text, separators, decimals, integers)):
+        return None
     return (decimals,) if integers is None else (decimals, integers)
 
 

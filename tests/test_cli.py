@@ -1,5 +1,9 @@
 import argparse
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,38 @@ def test_matrix_reads_its_config_from_stdin_as_from_a_file(tmp_path, capsys, mon
     assert run_cli("matrix", "--config", "-") == code
     assert capsys.readouterr() == want
 
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["estimate", "--method", "rs", "--in", "-"], "".join(f"{i % 13}.5\n" for i in range(200)) + "\u0661.\u0665\n"),
+        (["ingest", "--trace", "-", "--mode", "interarrival"], "0.5 40\n\u0662.5 40\n"),
+        (["matrix", "--config", "-"], "source = iid\nn = \u0661\u0660\u0660\u0660\nestimator = rs\n"),
+    ],
+    ids=["estimate", "ingest", "matrix"],
+)
+def test_text_only_stdin_refuses_non_ascii_as_a_file_does(tmp_path, capsys, monkeypatch, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert run_cli(*[str(path) if arg == "-" else arg for arg in argv]) == 2
+    want = capsys.readouterr()
+    assert "'ascii' codec can't decode byte 0xd9" in want.err
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == want
+
+
+def test_estimate_all_does_not_import_numpy_ma(tmp_path):
+    series = tmp_path / "fgn.txt"
+    assert run_cli("generate", "--model", "fgn", "--n", "4096", "--seed", "1", "--out", str(series)) == 0
+    script = (
+        "import sys; from hurstkit.cli import main; "
+        f"code = main(['estimate', '--method', 'all', '--in', {str(series)!r}, '--out', {str(tmp_path / 'h.csv')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hk.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 def test_generate_farima_with_coefficients(tmp_path):
     out = tmp_path / "farima.txt"
