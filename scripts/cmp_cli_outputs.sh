@@ -52,6 +52,10 @@ run_all() (
   hk generate --model ar1 --phi 0 --n 131072 --seed 22 --out ar1_0_2e17.txt
   hk generate --model ar1 --phi 0.9 --n 1000000 --seed 23 --out ar1_09_1e6.txt
   for phi in 0.995 0.996; do hk generate --model ar1 --phi $phi --n 131072 --seed 24 --out ar1_${phi}_2e17.txt; done
+  # R/S splits each size's blocks over the CPUs when called on the main thread (estimate,
+  # matrix with one worker) and runs inline in matrix cells on two workers
+  hk estimate --method rs --in ar1_09_1e6.txt --out est_rs_ar1_09_1e6.csv --dump-fit fit_rs_ar1_09_1e6.txt
+  hk matrix --source fgn --n 131072 --runs 2 --seed 26 --corruption none --corruption ar1 --estimator rs --workers 2 > fgn_2e17_rs_w2_matrix.csv
   # a block of each of these paths misses its check, so the loop redoes its span;
   # corrupt --seed 37 draws the first of them as its AR(1) noise
   for ps in 0.9:37 -0.9:129 0.5:53; do

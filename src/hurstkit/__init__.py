@@ -22,7 +22,7 @@ from .errors import (
     TooFewRecords,
 )
 from .series import AcfCurve, SummaryStats, TimeSeries, acf, aggregate, read_series, summary_stats, write_series
-from .spectral import Periodogram, dft, idft, periodogram
+from .spectral import Periodogram, dft, periodogram
 from .generators import (
     Ar1Spec,
     FarimaSpec,

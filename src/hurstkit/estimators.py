@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     NonPositivePoint,
     SeriesTooShort,
 )
-from .series import TimeSeries, aggregate
+from .series import TimeSeries, _run_threads, _thread_cpus, aggregate
 from .spectral import periodogram as compute_periodogram
 from .wavelet import dwt
 
@@ -217,36 +218,74 @@ def _grid_fit(
     return _block_fit(grid, values, fit_min, fit_max)
 
 
-_RS_STEPPED_BLOCKS = 512  # block count from which _rs_ratios steps every walk at once
+_RS_STEPPED_BLOCKS = 512  # a thread's block count from which _rs_ratios steps every walk at once
+# Series points per R/S thread, at least: below 2^16 points in all a second
+# thread costs more to start than it saves.
+_RS_PART = 1 << 15
 
 
 def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
-    """Mean R/S over the blocks of each size; 0 where every block is constant."""
-    # Two rows reused by every size: the deviations, then their squares and the
-    # stepped walks.  Series-length arrays allocated per size would be mapped and
-    # unmapped by the allocator each time, faulting on every page they touch.
-    scratch = np.empty((2, values.size))
+    """Mean R/S over the blocks of each size; 0 where every block is constant.
+
+    Each thread of ``_thread_cpus`` takes a contiguous range of every size's
+    blocks, with no wait between sizes, and writes their R and S; the means
+    are taken here over all of them, so the ratios do not depend on the
+    thread count.  Steps of the walks are numpy calls on one value per block,
+    and numpy holds the interpreter lock through a call on 500 values or
+    fewer: a thread steps its walks only from ``_RS_STEPPED_BLOCKS`` blocks.
+    """
+    n = values.size
+    sizes = [int(block) for block in grid]
+    counts = [n // block for block in sizes]
+    starts = [0, *accumulate(counts)]  # each size's first block in ranges and stds
+    ranges = np.empty(starts[-1])
+    stds = np.empty(starts[-1])
+    cpu_sets = _thread_cpus(max(1, n // _RS_PART))
+    threads = len(cpu_sets)
+    # Two rows reused by every size, one pair per thread: the deviations, then
+    # their squares and the stepped walks.  Series-length arrays allocated per
+    # size would be mapped and unmapped by the allocator each time, faulting on
+    # every page they touch.
+    span = max((-(-count // threads) * block for block, count in zip(sizes, counts)), default=0)
+    scratch = np.empty((threads, 2, span))
+    lows = np.empty((threads, -(-max(counts, default=0) // threads)))  # each thread's walk minima
+
+    def part(thread: int) -> None:
+        # Every array is the caller's: a helper's own allocations would stay in its
+        # malloc arena, beside the caller's, and raise the process's peak.
+        for block, count, start in zip(sizes, counts, starts):
+            lo, hi = count * thread // threads, count * (thread + 1) // threads
+            nblocks = hi - lo
+            if nblocks == 0:
+                continue
+            used = nblocks * block
+            chunk = values[lo * block : hi * block].reshape(nblocks, block)
+            dev = scratch[thread, 0, :used].reshape(nblocks, block)
+            square = scratch[thread, 1, :used].reshape(nblocks, block)
+            std, rng_, low = stds[start + lo : start + hi], ranges[start + lo : start + hi], lows[thread, :nblocks]
+            np.add.reduce(chunk, axis=1, out=std)  # the means first, by chunk.mean's own arithmetic
+            std /= block
+            np.subtract(chunk, std[:, None], out=dev)
+            np.add.reduce(np.multiply(dev, dev, out=square), axis=1, out=std)  # and chunk.std's
+            std /= block
+            np.sqrt(std, out=std)
+            if nblocks >= _RS_STEPPED_BLOCKS:
+                # A per-row cumsum is latency-bound; stepping all walks at once vectorises
+                # across blocks while each walk still adds left to right, so the bits match.
+                walks = square.reshape(block, nblocks)
+                walks[0] = dev[:, 0]
+                for k in range(1, block):
+                    np.add(walks[k - 1], dev[:, k], out=walks[k])
+                axis = 0
+            else:
+                walks = np.cumsum(dev, axis=1, out=dev)
+                axis = 1
+            np.subtract(walks.max(axis=axis, out=rng_), walks.min(axis=axis, out=low), out=rng_)
+
+    _run_threads(cpu_sets, part)
     ratios = []
-    for block in grid:
-        nblocks = values.size // block
-        used = nblocks * block
-        chunk = values[:used].reshape(nblocks, block)
-        dev = scratch[0, :used].reshape(nblocks, block)
-        mean = np.add.reduce(chunk, axis=1) / block  # chunk.mean's own arithmetic
-        np.subtract(chunk, mean[:, None], out=dev)
-        square = scratch[1, :used].reshape(nblocks, block)
-        std = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=square), axis=1) / block)  # and chunk.std's
-        if nblocks >= _RS_STEPPED_BLOCKS:
-            # A per-row cumsum is latency-bound; stepping all walks at once vectorises
-            # across blocks while each walk still adds left to right, so the bits match.
-            walks = scratch[1, :used].reshape(block, nblocks)
-            walks[0] = dev[:, 0]
-            for k in range(1, block):
-                np.add(walks[k - 1], dev[:, k], out=walks[k])
-            rng_ = walks.max(axis=0) - walks.min(axis=0)
-        else:
-            walks = np.cumsum(dev, axis=1, out=dev)
-            rng_ = walks.max(axis=1) - walks.min(axis=1)
+    for start, stop in zip(starts, starts[1:]):
+        rng_, std = ranges[start:stop], stds[start:stop]
         ok = std > 0.0
         ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
     return ratios

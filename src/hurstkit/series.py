@@ -26,12 +26,13 @@ each only where the one before declines:
    A serial pass cuts the text into windows of at most 1 MiB after a
    newline, counts each one's rows (its first row follows) and declines
    a byte above ``9`` or a count of bytes below ``0`` other than one per
-   separator.  The windows are then read on one thread per CPU in
+   separator.  The windows are then read on the threads of
+   ``_run_threads``, which R/S shares: one per CPU in
    ``os.sched_getaffinity`` (at most ``_MAX_THREADS``, the caller's thread
-   among them), which split those CPUs between them and reuse one copy
-   buffer each; the caller's CPU set is restored afterwards.  One
-   window, or one CPU, is read inline.  A window's arithmetic, midpoint re-reads included, is
-   its own, so the columns do not depend on the thread count.
+   among them), each kept to its own CPUs and reusing one copy buffer.
+   One window, one CPU or a call off the main thread is read inline.  A
+   window's arithmetic, midpoint re-reads included, is its own, so the
+   columns do not depend on the thread count.
 2. NumPy's C text reader, for any other text it accepts.
 3. A line scanner, the reference for what each format accepts and the
    only source of diagnostics, which name the offending line.
@@ -212,8 +213,9 @@ _DATA_BYTE = re.compile(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]")
 # The plain-decimal kernel reads the text in windows cut at a newline, each
 # copied behind a pad so that every digit word it loads lies in its copy.
 _WINDOW = 1 << 20  # bytes
-# Threads that read windows at once, at most: each holds a window copy and a
-# few MiB of temporaries, so the cap bounds that memory on a many-CPU host.
+# Threads that run one job's parts at once, at most: a reader thread holds a
+# window copy and a few MiB of temporaries, so the cap bounds that memory on a
+# many-CPU host.
 _MAX_THREADS = 8
 _PAD = 8
 _MAX_DIGITS = 18  # 10**18 < 2**63: every field is exact in uint64 and int64
@@ -314,16 +316,59 @@ def _field(words: np.ndarray, end: np.ndarray, digits: np.ndarray) -> np.ndarray
     return value
 
 
-def _thread_cpus(windows: int) -> list[set[int] | None]:
-    """The CPU set of each window thread: min(windows, CPUs, _MAX_THREADS)
-    threads that split the calling thread's CPUs between them, so no two
-    share one (None each, unsplit, where the platform cannot name CPUs)."""
+def _thread_cpus(parts: int) -> list[set[int] | None]:
+    """The CPU set of each thread that ``parts`` independent parts of one job
+    run on: min(parts, CPUs, _MAX_THREADS) threads that split the calling
+    thread's CPUs between them, so no two share one (None each, unsplit,
+    where the platform cannot name CPUs or refuses to).  Off the main thread
+    there is one: a caller on its own threads (matrix cells with
+    ``workers`` > 1) already fills the CPUs."""
+    if threading.current_thread() is not threading.main_thread():
+        return [None]
     try:
         cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return [None] * min(windows, os.cpu_count() or 1, _MAX_THREADS)
-    threads = min(windows, len(cpus), _MAX_THREADS)
+    except (AttributeError, OSError):  # no affinity call on this platform, or a refused one
+        return [None] * min(parts, os.cpu_count() or 1, _MAX_THREADS)
+    threads = min(parts, len(cpus), _MAX_THREADS)
     return [set(cpus[i::threads]) for i in range(threads)]
+
+
+def _pin(cpus: set[int] | None) -> None:
+    """Keep the calling thread to ``cpus``; where the call is refused (a
+    seccomp filter may refuse it), the thread runs unpinned."""
+    if cpus is not None:
+        try:
+            os.sched_setaffinity(0, cpus)  # the calling thread only
+        except OSError:
+            pass
+
+
+def _run_threads(cpu_sets: list[set[int] | None], work: Callable[[int], None]) -> None:
+    """Run ``work(i)`` for each thread i of ``cpu_sets`` (``_thread_cpus``),
+    each thread kept to its own CPUs.
+
+    The calling thread is thread 0 and gets its CPU set back at the end;
+    one thread runs inline, with no pool.  Left to the scheduler, a thread
+    that the interpreter lock wakes is often put on the CPU of the thread
+    that woke it, and the parts then run one after another.
+    """
+    if len(cpu_sets) == 1:
+        work(0)
+        return
+
+    def pinned(i: int) -> None:
+        _pin(cpu_sets[i])
+        work(i)
+
+    with ThreadPoolExecutor(max_workers=len(cpu_sets) - 1) as pool:
+        helpers = [pool.submit(pinned, i) for i in range(1, len(cpu_sets))]
+        mask = None if cpu_sets[0] is None else os.sched_getaffinity(0)
+        try:
+            pinned(0)
+        finally:
+            _pin(mask)
+        for helper in helpers:
+            helper.result()
 
 
 def _cut_windows(buf: bytes, text: np.ndarray, fields: int) -> tuple[list[tuple[int, int, int]], int] | None:
@@ -408,23 +453,16 @@ def _read_window(
 def _read_windows(windows: list[tuple[int, int, int]], read: Callable[..., bool]) -> bool:
     """Whether ``read(window, copy, words)`` accepts every window.
 
-    One window, or one CPU, is read inline.  Otherwise the calling thread
-    and its helpers (``_thread_cpus``) take windows in turn, each kept to
-    its own CPUs and reading through one copy buffer of its own; the
-    caller gets its CPU set back at the end.  Left to the scheduler, a
-    thread that the interpreter lock wakes is often put on the CPU of the
-    thread that woke it, and the windows then run one after another.  The
-    first window to decline stops the rest.
+    The threads of ``_run_threads`` take windows in turn, each reading
+    through one copy buffer of its own.  The first window to decline stops
+    the rest.
     """
-    cpu_sets = _thread_cpus(len(windows))
     pending = iter(windows)
     lock = threading.Lock()
     declined = False
 
-    def work(cpus: set[int] | None) -> None:
+    def work(thread: int) -> None:
         nonlocal declined
-        if cpus is not None:
-            os.sched_setaffinity(0, cpus)  # the calling thread only
         copy = np.zeros(_PAD + _WINDOW + 1, np.uint8)  # + the newline a last line may lack
         words = np.ndarray(buffer=copy, dtype="<u8", shape=(copy.size - 7,), strides=(1,))
         while not declined:
@@ -435,19 +473,7 @@ def _read_windows(windows: list[tuple[int, int, int]], read: Callable[..., bool]
             if not read(window, copy, words):
                 declined = True
 
-    if len(cpu_sets) == 1:
-        work(None)
-        return not declined
-    with ThreadPoolExecutor(max_workers=len(cpu_sets) - 1) as pool:
-        helpers = [pool.submit(work, cpus) for cpus in cpu_sets[1:]]
-        mask = None if cpu_sets[0] is None else os.sched_getaffinity(0)
-        try:
-            work(cpu_sets[0])
-        finally:
-            if mask is not None:
-                os.sched_setaffinity(0, mask)
-        for helper in helpers:
-            helper.result()
+    _run_threads(_thread_cpus(len(windows)), work)
     return not declined
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SeriesTooShort
 from .series import TimeSeries
 
-__all__ = ["Periodogram", "dft", "idft", "periodogram"]
+__all__ = ["Periodogram", "dft", "periodogram"]
 
 
 @dataclass(frozen=True)
@@ -31,23 +31,8 @@ class Periodogram:
     power: np.ndarray
 
 
-def dft(values) -> np.ndarray:
-    """Forward discrete Fourier transform, X_k = sum_t x_t e^{-2*pi*i*t*k/N}.
-
-    Delegates to an O(N log N) mixed-radix transform for arbitrary N.
-    """
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("dft expects a non-empty 1-d sequence")
-    return np.fft.fft(arr)
-
-
-def idft(values) -> np.ndarray:
-    """Inverse transform; dft(idft(x)) round-trips to floating precision."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("idft expects a non-empty 1-d sequence")
-    return np.fft.ifft(arr)
+# The forward transform X_k = sum_t x_t e^{-2*pi*i*t*k/N}, for any N (mixed radix)
+dft = np.fft.fft
 
 
 # (weak reference to the series, its periodogram); a collected series never matches
