@@ -160,11 +160,17 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   # the full grid at N = 1000, and at N = 100 the R/S window is exactly sizes 16-18
   hk matrix --source iid --n 1000 --runs 2 --estimator rs --estimator aggvar > iid_fallback_matrix.csv
   hk matrix --source iid --n 100 --estimator rs > iid_100_rs_matrix.csv
-  # two threads interleave on the periodogram kept for the next call on the same series
+  # odd lengths, whose periodogram grid stops short of the Nyquist bin; on two workers
+  # each row's job hands its one periodogram to both spectral cells
   hk generate --model fgn --h 0.75 --n 5001 --seed 18 --out fgn_odd.txt
   hk corrupt --kind ar1 --in fgn_odd.txt --seed 20 --out corrupt_ar1_odd.txt
   hk matrix --source fgn --n 4099 --h 0.8 --runs 2 --seed 21 --corruption none --corruption ar1 --corruption sine --corruption trend > fgn_odd_matrix.csv
   hk matrix --source file --path fgn_odd.txt --filter none --filter linear --filter poly --workers 2 --estimator pgram --estimator lwhittle > odd_pgram_lw_matrix.csv
+  # all estimators, one job per row: four rows on four workers, and two 500-point rows
+  # whose spectral cells refuse them
+  hk matrix --source fgn --n 8192 --seed 27 --corruption none --corruption ar1 --corruption sine --corruption trend --workers 4 > fgn_all_w4_matrix.csv
+  hk generate --model fgn --n 500 --seed 28 --out fgn_500.txt
+  hk matrix --source file --path fgn_500.txt --filter none --filter linear --workers 2 > fgn_500_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 10 --take 1500 --filter none --filter poly --estimator wavelet > tracesrc_matrix.csv
   hk matrix --source trace --path trace.txt --mode bins --bin-width 0.0078125 --skip 20 --take 1200 --filter none --filter linear --estimator rs --estimator wavelet --format aligned --out tracesrc_bins.aligned
   hk matrix --source trace --path trace.txt --mode interarrival --skip 7 --take 4000 --filter none --filter log --estimator aggvar --estimator lwhittle --format aligned --out tracesrc_gaps.aligned

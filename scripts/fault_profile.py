@@ -10,9 +10,11 @@ call, with ``hurstkit.harness.estimate`` and ``_materialize_rows`` wrapped
 where ``run_matrix`` looks them up.  Prints one JSON object: the median
 over the warm passes of the minor faults (``getrusage`` ``ru_minflt``)
 and the wall seconds of row materialisation, of each estimator summed
-over its rows, of the rest of ``run_matrix`` and of the whole pass; the
-process's peak RSS (``ru_maxrss``, MiB) before the cold pass, after it
-and after the warm passes; and how far each stage raised that peak
+over its rows, of the rest of ``run_matrix`` (``run_matrix_self``, which
+includes the one periodogram each row takes, outside ``estimate``, for its
+two spectral cells) and of the whole pass; the process's peak RSS
+(``ru_maxrss``, MiB) before the cold pass, after it and after the warm
+passes; and how far each stage raised that peak
 during the cold pass, which is where the peak is set.  It reports and
 does not gate.
 

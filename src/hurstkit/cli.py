@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HurstkitError
-from .estimators import estimate
+from .estimators import estimate, estimate_each
 from .harness import (
     CONFIG_KEYS,
     CORRUPTIONS,
@@ -99,10 +99,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         if os.path.realpath(args.dump_fit) == os.path.realpath(args.out):
             raise ConfigError("--dump-fit and --out name the same file")
     series = FileSource(args.infile).make(0)
-    reports = [
-        estimate(series, method, **({"m": args.bandwidth} if method == "local_whittle" else {}))
-        for method in methods
-    ]
+    extra = {"local_whittle": {"m": args.bandwidth}}
+    reports = estimate_each(series, methods, lambda s, name, **kw: estimate(s, name, **extra.get(name, {}), **kw))
     with _open_out(args.out) as fh:
         fh.write("method,h,ci_lo,ci_hi,slope,intercept,slope_se,fit_points,notes\n")
         for rep in reports:

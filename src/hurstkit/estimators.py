@@ -32,7 +32,7 @@ from .errors import (
     SeriesTooShort,
 )
 from .series import TimeSeries, _run_threads, _thread_cpus, aggregate
-from .spectral import periodogram as compute_periodogram
+from .spectral import Periodogram, periodogram as compute_periodogram
 from .wavelet import dwt
 
 __all__ = [
@@ -228,18 +228,19 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
     """Mean R/S over the blocks of each size; 0 where every block is constant.
 
     Each thread of ``_thread_cpus`` takes a contiguous range of every size's
-    blocks, with no wait between sizes, and writes their R and S; the means
-    are taken here over all of them, so the ratios do not depend on the
-    thread count.  Steps of the walks are numpy calls on one value per block,
-    and numpy holds the interpreter lock through a call on 500 values or
-    fewer: a thread steps its walks only from ``_RS_STEPPED_BLOCKS`` blocks.
+    blocks, with no wait between sizes, and writes each block's R/S and
+    whether its S is positive; the means are taken here over all of them, so
+    the ratios do not depend on the thread count.  Steps of the walks are
+    numpy calls on one value per block, and numpy holds the interpreter lock
+    through a call on 500 values or fewer: a thread steps its walks only from
+    ``_RS_STEPPED_BLOCKS`` blocks.
     """
     n = values.size
     sizes = [int(block) for block in grid]
     counts = [n // block for block in sizes]
-    starts = [0, *accumulate(counts)]  # each size's first block in ranges and stds
-    ranges = np.empty(starts[-1])
-    stds = np.empty(starts[-1])
+    starts = [0, *accumulate(counts)]  # each size's first block in rs and positive
+    rs = np.empty(starts[-1])  # each block's R/S, where its S is positive
+    positive = np.empty(starts[-1], dtype=bool)
     cpu_sets = _thread_cpus(max(1, n // _RS_PART))
     threads = len(cpu_sets)
     # Two rows reused by every size, one pair per thread: the deviations, then
@@ -248,7 +249,7 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
     # every page they touch.
     span = max((-(-count // threads) * block for block, count in zip(sizes, counts)), default=0)
     scratch = np.empty((threads, 2, span))
-    lows = np.empty((threads, -(-max(counts, default=0) // threads)))  # each thread's walk minima
+    rows = np.empty((threads, 2, -(-max(counts, default=0) // threads)))  # each thread's walk minima and S
 
     def part(thread: int) -> None:
         # Every array is the caller's: a helper's own allocations would stay in its
@@ -262,7 +263,7 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
             chunk = values[lo * block : hi * block].reshape(nblocks, block)
             dev = scratch[thread, 0, :used].reshape(nblocks, block)
             square = scratch[thread, 1, :used].reshape(nblocks, block)
-            std, rng_, low = stds[start + lo : start + hi], ranges[start + lo : start + hi], lows[thread, :nblocks]
+            (low, std), rng_ = rows[thread, :, :nblocks], rs[start + lo : start + hi]
             np.add.reduce(chunk, axis=1, out=std)  # the means first, by chunk.mean's own arithmetic
             std /= block
             np.subtract(chunk, std[:, None], out=dev)
@@ -281,13 +282,13 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
                 walks = np.cumsum(dev, axis=1, out=dev)
                 axis = 1
             np.subtract(walks.max(axis=axis, out=rng_), walks.min(axis=axis, out=low), out=rng_)
+            np.divide(rng_, std, out=rng_, where=np.greater(std, 0.0, out=positive[start + lo : start + hi]))
 
     _run_threads(cpu_sets, part)
     ratios = []
     for start, stop in zip(starts, starts[1:]):
-        rng_, std = ranges[start:stop], stds[start:stop]
-        ok = std > 0.0
-        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
+        ok = positive[start:stop]
+        ratios.append(float(rs[start:stop][ok].mean()) if ok.any() else 0.0)
     return ratios
 
 
@@ -362,11 +363,13 @@ def _positive_bins(freqs: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np
 
 
 def est_periodogram(
-    series: TimeSeries, *, freq_fraction: float = 0.10, fit_only: bool = False
+    series: TimeSeries, *, freq_fraction: float = 0.10, fit_only: bool = False,
+    periodogram: Periodogram | None = None,
 ) -> EstimatorReport:
     """Periodogram estimator: log I(lambda) vs log lambda has slope 1 - 2H.
 
-    Fits the lowest ``freq_fraction`` of the Fourier frequencies.
+    Fits the lowest ``freq_fraction`` of the Fourier frequencies of the
+    series' ``periodogram``, taken here where the caller has not.
 
     ``fit_only`` hands the fit the fitted bins alone: ``fit.xs``/``fit.ys``
     then hold ``bins_used`` points instead of every positive bin.  The log
@@ -376,7 +379,7 @@ def est_periodogram(
     _require(series, 1000, "periodogram estimator")
     if not (0.0 < freq_fraction <= 1.0):
         raise ValueError(f"freq_fraction must be in (0, 1], got {freq_fraction}")
-    pgram = compute_periodogram(series)
+    pgram = compute_periodogram(series) if periodogram is None else periodogram
     freqs, power = _positive_bins(pgram.frequencies, pgram.power)
     used = max(3, int(freq_fraction * freqs.size))
     if fit_only:
@@ -485,18 +488,20 @@ def local_whittle_minimize(
     return _fminbound(lambda h: _local_whittle_objective(h, log_lam, mean_log, power, out), lo, hi, tol)
 
 
-def est_local_whittle(series: TimeSeries, m: int | None = None) -> EstimatorReport:
+def est_local_whittle(
+    series: TimeSeries, m: int | None = None, *, periodogram: Periodogram | None = None
+) -> EstimatorReport:
     """Local Whittle estimator on the m lowest Fourier frequencies.
 
     Defaults to every positive non-Nyquist frequency; the asymptotic
     interval H +/- 1.96/(2 sqrt(m)) is reported in the diagnostics only
-    and is not authoritative.
+    and is not authoritative.  ``periodogram`` is as in :func:`est_periodogram`.
     """
     nfreq = (_require(series, 1000, "local Whittle") - 1) // 2
     bandwidth = nfreq if m is None else m
     if not (8 <= bandwidth <= nfreq):
         raise BandwidthOutOfRange(f"bandwidth must be in [8, {nfreq}], got {bandwidth}")
-    pgram = compute_periodogram(series)
+    pgram = compute_periodogram(series) if periodogram is None else periodogram
     hurst = local_whittle_minimize(*_positive_bins(pgram.frequencies[:bandwidth], pgram.power[:bandwidth]))
     half = 1.96 / (2.0 * math.sqrt(bandwidth))
     diags: dict[str, Any] = {
@@ -592,3 +597,20 @@ def estimate(series: TimeSeries, method: str, **kwargs) -> EstimatorReport:
     except KeyError:
         raise ValueError(f"unknown estimator {method!r}; choose from {METHOD_ORDER}") from None
     return fn(series, **kwargs)
+
+
+def estimate_each(series: TimeSeries, methods: tuple[str, ...], run: Callable[..., Any]) -> list:
+    """``run(series, method, **kwargs)`` for each of ``methods``, in their order.
+
+    The spectral estimators run last, each handed the series' one periodogram
+    as ``periodogram=``, so that it is not held while the others run.
+    """
+    spectral = [method for method in methods if method in ("periodogram", "local_whittle")]
+    results = {method: run(series, method) for method in methods if method not in spectral}
+    if spectral:
+        try:
+            shared = {"periodogram": compute_periodogram(series)}
+        except SeriesTooShort:  # none to hand: each spectral estimator refuses the series itself
+            shared = {}
+        results.update((method, run(series, method, **shared)) for method in spectral)
+    return [results[method] for method in methods]

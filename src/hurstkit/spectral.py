@@ -5,14 +5,13 @@ j = 1..floor((N-1)/2): zero frequency and the Nyquist bin are excluded,
 and the sample mean is subtracted first so that the lowest bins are not
 polluted by the squared mean.  No tapering or smoothing is applied.
 
-The periodogram and local Whittle estimators read the same I(lambda_j)
-of a series, so ``periodogram`` keeps its last result for the next call
-on the same series: each row of an experiment takes one transform.
+``periodogram`` computes afresh on every call.  The periodogram and local
+Whittle estimators read the same I(lambda_j) of a series, so a caller that
+runs both takes it once and hands it to each (their ``periodogram=``).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,33 +34,15 @@ class Periodogram:
 dft = np.fft.fft
 
 
-# (weak reference to the series, its periodogram); a collected series never matches
-_last: tuple[weakref.ref, Periodogram] | None = None
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Drop the kept periodogram once its series is collected."""
-    global _last
-    last = _last
-    if last is not None and last[0] is ref:
-        _last = None
-
-
 def periodogram(series: TimeSeries) -> Periodogram:
     """Raw periodogram I(lambda_j) = |sum_t x_t e^{i*t*lambda_j}|^2 / (2*pi*N).
 
     The series mean is subtracted before transforming.  The arrays are
-    read-only: the result is kept, and handed out once more, to the next
-    call for the same series.
+    read-only, since one result may be handed to both spectral estimators.
     """
-    global _last
     n = len(series)
     if n < 8:
         raise SeriesTooShort(f"periodogram needs N >= 8, got {n}")
-    last = _last
-    if last is not None and last[0]() is series:
-        _last = None
-        return last[1]
     centered = series.values - series.values.mean()
     spec = np.fft.rfft(centered)
     nfreq = (n - 1) // 2
@@ -69,6 +50,4 @@ def periodogram(series: TimeSeries) -> Periodogram:
     freqs = 2.0 * np.pi * np.arange(1, nfreq + 1) / n
     freqs.setflags(write=False)
     power.setflags(write=False)
-    pgram = Periodogram(frequencies=freqs, power=power)
-    _last = (weakref.ref(series, _forget), pgram)
-    return pgram
+    return Periodogram(frequencies=freqs, power=power)

@@ -312,6 +312,21 @@ def test_estimate_bandwidth_flag(tmp_path, capsys):
     assert capsys.readouterr().err == "hurstkit: error: --bandwidth applies only to --method lwhittle or all\n"
 
 
+def test_estimate_all_takes_one_periodogram(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "fgn.txt"
+    assert run_cli("generate", "--model", "fgn", "--n", "4096", "--seed", "2", "--out", str(path)) == 0
+    each = []
+    for method in hk.METHOD_ORDER:
+        assert run_cli("estimate", "--method", method, "--in", str(path)) == 0
+        each.append(capsys.readouterr().out.splitlines()[1])
+    taken = []
+    compute = hk.estimators.compute_periodogram
+    monkeypatch.setattr(hk.estimators, "compute_periodogram", lambda series: taken.append(series) or compute(series))
+    assert run_cli("estimate", "--method", "all", "--in", str(path)) == 0
+    assert len(taken) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == each
+
+
 def test_matrix_workers_flag_matches_serial(tmp_path, capsys):
     args = ["matrix", "--source", "iid", "--n", "2048", "--runs", "2", "--seed", "3",
             "--estimator", "rs", "--estimator", "wavelet", "--estimator", "pgram", "--estimator", "lwhittle"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hurstkit as hk
+import hurstkit.estimators as estimators
 import hurstkit.harness as harness
 from hurstkit import (
     CellError,
@@ -219,6 +220,37 @@ def test_parallel_matrix_matches_serial_under_fast_thread_switching():
         sys.setswitchinterval(switch)
     assert len(parallel.cells) == 3 * 4 * len(hk.METHOD_ORDER)
     assert format_matrix(parallel) == format_matrix(run_matrix(small_spec(runs=3)))
+
+
+def test_each_row_takes_one_periodogram_at_any_worker_count(monkeypatch):
+    taken = []  # the length of each series a periodogram is taken of, from any thread
+    compute = estimators.compute_periodogram
+    monkeypatch.setattr(estimators, "compute_periodogram", lambda series: taken.append(len(series)) or compute(series))
+    texts = set()
+    for workers in (1, 2, 4):
+        spec = small_spec(source=GeneratorSource(model="fgn", n=2048, hurst=0.7), runs=3, workers=workers)
+        for _ in range(10):
+            texts.add(format_matrix(run_matrix(spec)))
+            assert taken == [2048] * 12, workers  # 3 runs x 4 rows, each with both spectral cells
+            taken.clear()
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(5.0), np.random.default_rng(4).standard_normal(500), np.full(2048, 3.0)],
+    ids=["5-points", "500-points", "constant"],
+)
+def test_spectral_cells_refuse_a_row_as_their_estimators_do(tmp_path, values):
+    path = tmp_path / "series.txt"
+    path.write_text("".join(f"{v!r}\n" for v in values.tolist()), encoding="ascii")
+    series = hk.TimeSeries(values)
+    for workers in (1, 2):
+        matrix = run_matrix(ExperimentSpec(source=hk.FileSource(str(path)), workers=workers))
+        for method, estimator in (("periodogram", hk.est_periodogram), ("local_whittle", hk.est_local_whittle)):
+            with pytest.raises(hk.HurstkitError) as refusal:
+                estimator(series)
+            assert matrix.cells[(0, method)] == CellError(type(refusal.value).__name__, str(refusal.value))
 
 
 def test_periodogram_cells_hold_the_fitted_bins_alone():

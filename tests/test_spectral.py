@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import hurstkit as hk
-import hurstkit.spectral as spectral
 from hurstkit import TimeSeries, dft, periodogram
 
 
@@ -145,7 +144,7 @@ def test_fgn_low_frequency_slope(fgn07):
     assert fit.slope == pytest.approx(-0.4, abs=0.1)
 
 
-# --- the periodogram kept for the next call on the same series -------------
+# --- every call computes afresh; one result may go to both spectral estimators
 
 
 def _direct_power(values):
@@ -156,40 +155,15 @@ def _direct_power(values):
     return (spec.real[1 : nfreq + 1] ** 2 + spec.imag[1 : nfreq + 1] ** 2) / (2.0 * np.pi * n)
 
 
-def test_periodogram_hands_its_result_once_to_the_next_call_on_the_same_series():
-    series = TimeSeries(np.random.default_rng(7).standard_normal(1001))
-    first = periodogram(series)
-    assert periodogram(series) is first
-    third = periodogram(series)  # the second use emptied the slot
-    assert third is not first and third.power.tobytes() == first.power.tobytes()
-    for arr in (first.frequencies, first.power):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-
-
 def test_periodogram_of_series_a_b_a_equals_a_fresh_compute():
     rng = np.random.default_rng(8)
     a, b = TimeSeries(rng.standard_normal(999)), TimeSeries(rng.standard_normal(999))
     for series, got in [(s, periodogram(s)) for s in (a, b, a)]:
-        want = periodogram(TimeSeries(series.values))  # a new object: never in the slot
+        want = periodogram(TimeSeries(series.values))
         assert got.frequencies.tobytes() == want.frequencies.tobytes()
         assert got.power.tobytes() == want.power.tobytes() == _direct_power(series.values).tobytes()
-
-
-def test_periodogram_never_matches_a_collected_series():
-    """A new series built where a collected one lived gets its own periodogram."""
-    rng = np.random.default_rng(9)
-    reused = 0
-    for _ in range(20):
-        gone = TimeSeries(rng.standard_normal(64))
-        periodogram(gone)
-        address = id(gone)
-        values = rng.standard_normal(64)
-        del gone  # collected at once: nothing else refers to it
-        assert spectral._last is None  # and its periodogram is not kept either
-        series = TimeSeries(values)
-        reused += id(series) == address
-        assert periodogram(series).power.tobytes() == _direct_power(values).tobytes()
-        del series
-    assert reused  # the check above ran where a key by address would have matched
+        assert periodogram(series) is not got
+        for arr in (got.frequencies, got.power):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

@@ -64,3 +64,12 @@ def test_every_lookup_site_records_its_span(tracer, tmp_path):
     sites = {name for _, _, name in _SITES}
     assert len(sites) == 24
     assert sites - names == set()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_an_all_estimator_matrix_takes_one_periodogram_per_row(tracer, tmp_path, workers):
+    argv = ["matrix", "--source", "fgn", "--n", "2048", "--runs", "2", "--corruption", "none",
+            "--corruption", "ar1", "--corruption", "trend", "--workers", workers, "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    assert tracer.counts["harness.cells"] == 6 * 5
+    assert sum(span[0] == "spectral.periodogram" for span in tracer.spans) == 6
