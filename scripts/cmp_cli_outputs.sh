@@ -166,7 +166,7 @@ print(''.join(f'{a!r} {b}\n' for a, b in zip(np.maximum.accumulate(t).tolist(), 
   hk corrupt --kind ar1 --in fgn_odd.txt --seed 20 --out corrupt_ar1_odd.txt
   hk matrix --source fgn --n 4099 --h 0.8 --runs 2 --seed 21 --corruption none --corruption ar1 --corruption sine --corruption trend > fgn_odd_matrix.csv
   hk matrix --source file --path fgn_odd.txt --filter none --filter linear --filter poly --workers 2 --estimator pgram --estimator lwhittle > odd_pgram_lw_matrix.csv
-  # all estimators, one job per row: four rows on four workers, and two 500-point rows
+  # all estimators, each row's spectral cells one job: four rows on four workers, and two 500-point rows
   # whose spectral cells refuse them
   hk matrix --source fgn --n 8192 --seed 27 --corruption none --corruption ar1 --corruption sine --corruption trend --workers 4 > fgn_all_w4_matrix.csv
   hk generate --model fgn --n 500 --seed 28 --out fgn_500.txt

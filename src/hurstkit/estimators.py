@@ -362,6 +362,16 @@ def _positive_bins(freqs: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np
     return (freqs, power) if keep.all() else (freqs[keep], power[keep])
 
 
+def _own_periodogram(series: TimeSeries, periodogram: Periodogram | None) -> Periodogram:
+    """``periodogram`` if its bins are those of a series this long, else refused; or the series' own."""
+    if periodogram is None:
+        return compute_periodogram(series)
+    n = len(series)
+    if periodogram.power.size != (n - 1) // 2 or periodogram.frequencies[:1].tolist() != [2.0 * np.pi / n]:
+        raise ValueError(f"periodogram= is not of a series of {n} points")
+    return periodogram
+
+
 def est_periodogram(
     series: TimeSeries, *, freq_fraction: float = 0.10, fit_only: bool = False,
     periodogram: Periodogram | None = None,
@@ -379,7 +389,7 @@ def est_periodogram(
     _require(series, 1000, "periodogram estimator")
     if not (0.0 < freq_fraction <= 1.0):
         raise ValueError(f"freq_fraction must be in (0, 1], got {freq_fraction}")
-    pgram = compute_periodogram(series) if periodogram is None else periodogram
+    pgram = _own_periodogram(series, periodogram)
     freqs, power = _positive_bins(pgram.frequencies, pgram.power)
     used = max(3, int(freq_fraction * freqs.size))
     if fit_only:
@@ -501,7 +511,7 @@ def est_local_whittle(
     bandwidth = nfreq if m is None else m
     if not (8 <= bandwidth <= nfreq):
         raise BandwidthOutOfRange(f"bandwidth must be in [8, {nfreq}], got {bandwidth}")
-    pgram = compute_periodogram(series) if periodogram is None else periodogram
+    pgram = _own_periodogram(series, periodogram)
     hurst = local_whittle_minimize(*_positive_bins(pgram.frequencies[:bandwidth], pgram.power[:bandwidth]))
     half = 1.96 / (2.0 * math.sqrt(bandwidth))
     diags: dict[str, Any] = {
@@ -588,6 +598,7 @@ _ESTIMATORS: dict[str, Callable[..., EstimatorReport]] = {
     "local_whittle": est_local_whittle,
 }
 METHOD_ORDER = tuple(_ESTIMATORS)  # the order of every table and of --method all
+SPECTRAL_METHODS = ("periodogram", "local_whittle")  # the estimators that read a periodogram
 
 
 def estimate(series: TimeSeries, method: str, **kwargs) -> EstimatorReport:
@@ -602,15 +613,15 @@ def estimate(series: TimeSeries, method: str, **kwargs) -> EstimatorReport:
 def estimate_each(series: TimeSeries, methods: tuple[str, ...], run: Callable[..., Any]) -> list:
     """``run(series, method, **kwargs)`` for each of ``methods``, in their order.
 
-    The spectral estimators run last, each handed the series' one periodogram
-    as ``periodogram=``, so that it is not held while the others run.
+    The spectral ones get ``periodogram=``, the series' one periodogram,
+    taken when the first of them is reached.
     """
-    spectral = [method for method in methods if method in ("periodogram", "local_whittle")]
-    results = {method: run(series, method) for method in methods if method not in spectral}
-    if spectral:
-        try:
-            shared = {"periodogram": compute_periodogram(series)}
-        except SeriesTooShort:  # none to hand: each spectral estimator refuses the series itself
-            shared = {}
-        results.update((method, run(series, method, **shared)) for method in spectral)
-    return [results[method] for method in methods]
+    results, shared = [], None
+    for method in methods:
+        if method in SPECTRAL_METHODS and shared is None:
+            try:
+                shared = {"periodogram": compute_periodogram(series)}
+            except SeriesTooShort:  # none to hand: each spectral estimator refuses the series itself
+                shared = {}
+        results.append(run(series, method, **(shared if method in SPECTRAL_METHODS else {})))
+    return results

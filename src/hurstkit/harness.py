@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import IO, Any, Callable
 
 from .errors import ConfigError, HurstkitError, SeriesTooShort
-from .estimators import METHOD_ORDER, EstimatorReport, estimate, estimate_each
+from .estimators import METHOD_ORDER, SPECTRAL_METHODS, EstimatorReport, estimate, estimate_each
 from .generators import Ar1Spec, FarimaSpec, FgnSpec, gen_ar1, gen_farima, gen_fgn, gen_iid_gaussian
 from .series import _MAX_POINTS, TimeSeries, acf, read_series
 from .traces import bin_bytes, check_bin_width, interarrival_series, parse_packet_trace
@@ -237,8 +237,8 @@ class TraceSource(FileSource):
         return f"trace {self.path} (interarrival times)"
 
 
-# run_matrix hands one run's rows to the pool at a time, so the pool starts at most
-# min(workers, rows per run) threads: an uncapped workers on a wide matrix would try
+# run_matrix hands one run's cells to the pool at a time, so the pool starts at most
+# min(workers, cells per run) threads: an uncapped workers on a wide matrix would try
 # to start thousands and fail.
 _MAX_WORKERS = 64
 
@@ -350,22 +350,32 @@ def run_matrix(spec: ExperimentSpec) -> ResultMatrix:
     """Execute the experiment matrix one run at a time; cell errors are captured, not fatal.
 
     No cell reads another run's rows, so each run's rows are dropped once
-    its cells are estimated, before the next run's are built.  A row is one
-    job: ``estimate_each`` runs its cells, the spectral ones on one periodogram.
+    its cells are estimated, before the next run's are built.
     """
     all_rows: list[MatrixRow] = []
     cells: dict[tuple[int, str], EstimatorReport | CellError] = {}
+    # The current run's rows by row index.  Jobs carry indices alone and the dict is
+    # emptied after each run, so no pool work item keeps a series alive.
+    payloads: dict[int, TimeSeries | CellError] = {}
+    # A job per cell, but a row's spectral cells are one job, after its others, that
+    # takes the row's periodogram once (estimate_each) and hands it to both.
+    spectral = tuple(method for method in spec.estimators if method in SPECTRAL_METHODS)
+    groups = [(method,) for method in spec.estimators if method not in spectral] + ([spectral] if spectral else [])
 
-    def run_row(payload: TimeSeries | CellError) -> list[EstimatorReport | CellError]:
+    def run_cells(job: tuple[int, tuple[str, ...]]) -> list[tuple[tuple[int, str], EstimatorReport | CellError]]:
+        idx, methods = job
+        payload = payloads[idx]
         if isinstance(payload, CellError):
-            return [payload] * len(spec.estimators)
-        return estimate_each(payload, spec.estimators, _run_cell)
+            return [((idx, method), payload) for method in methods]
+        return list(zip([(idx, method) for method in methods], estimate_each(payload, methods, _run_cell)))
 
-    def estimate_run(run: int, map_rows: Callable) -> None:
-        rows = _materialize_rows(spec, run)[1]
-        for (row, _), reports in zip(rows, map_rows(run_row, [payload for _, payload in rows])):
-            cells.update(((len(all_rows), method), report) for method, report in zip(spec.estimators, reports))
+    def estimate_run(run: int, map_jobs: Callable) -> None:
+        for idx, (row, payload) in enumerate(_materialize_rows(spec, run)[1], start=len(all_rows)):
             all_rows.append(row)
+            payloads[idx] = payload
+        for done in map_jobs(run_cells, [(idx, methods) for idx in payloads for methods in groups]):
+            cells.update(done)
+        payloads.clear()
 
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:

@@ -327,6 +327,16 @@ def test_estimate_all_takes_one_periodogram(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[1:] == each
 
 
+def test_estimate_all_reports_the_first_refusal_in_method_order(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(6).standard_normal(1000).tolist()))
+    args = ["estimate", "--in", str(path), "--bandwidth", "5"]
+    assert run_cli(*args, "--method", "all") == 2
+    first = capsys.readouterr().err
+    assert run_cli(*args[:3], "--method", "wavelet") == 2  # before lwhittle's bandwidth refusal
+    assert capsys.readouterr().err == first == "hurstkit: error: wavelet estimator needs N >= 1024, got 1000\n"
+
+
 def test_matrix_workers_flag_matches_serial(tmp_path, capsys):
     args = ["matrix", "--source", "iid", "--n", "2048", "--runs", "2", "--seed", "3",
             "--estimator", "rs", "--estimator", "wavelet", "--estimator", "pgram", "--estimator", "lwhittle"]

@@ -117,6 +117,33 @@ def test_local_whittle_minimize_minimises_the_public_objective():
     assert hk.local_whittle_objective(got + 1e-3, lam, power) > at_min
 
 
+def test_spectral_estimators_take_the_series_own_periodogram_alone():
+    series = hk.gen_fgn(hk.FgnSpec(hurst=0.7, n=4096, seed=5))
+    own = hk.periodogram(series)
+    others = [hk.periodogram(TimeSeries(series.values[:size])) for size in (4095, 4000)]  # same bins; fewer
+    for fn in (est_periodogram, est_local_whittle):
+        given, computed = fn(series, periodogram=own), fn(series)
+        assert (given.hurst.hex(), given.diagnostics) == (computed.hurst.hex(), computed.diagnostics)
+        for other in others:
+            with pytest.raises(ValueError, match="periodogram= is not of a series of 4096 points"):
+                fn(series, periodogram=other)
+
+
+def test_estimate_each_runs_in_order_and_takes_the_periodogram_at_the_first_spectral_method(monkeypatch):
+    series = hk.gen_fgn(hk.FgnSpec(hurst=0.7, n=2048, seed=1))
+    calls = []
+    compute = estimators.compute_periodogram
+    monkeypatch.setattr(estimators, "compute_periodogram", lambda s: calls.append("fft") or compute(s))
+    reports = estimators.estimate_each(
+        series, hk.METHOD_ORDER, lambda s, name, **kw: calls.append((name, sorted(kw))) or name
+    )
+    assert reports == list(hk.METHOD_ORDER)
+    assert calls == [
+        ("rs", []), ("aggvar", []), "fft", ("periodogram", ["periodogram"]), ("wavelet", []),
+        ("local_whittle", ["periodogram"]),
+    ]
+
+
 # --- preconditions ----------------------------------------------------------
 
 

@@ -236,6 +236,23 @@ def test_each_row_takes_one_periodogram_at_any_worker_count(monkeypatch):
     assert len(texts) == 1
 
 
+def test_a_rows_cells_are_separate_pool_jobs_but_its_spectral_cells_one(monkeypatch):
+    handed = []
+
+    class Pool(harness.ThreadPoolExecutor):
+        def map(self, fn, jobs):
+            handed.append(list(jobs))
+            return super().map(fn, handed[-1])
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+    spec = small_spec(corruptions=(None,), runs=2, workers=2)
+    assert format_matrix(run_matrix(spec)) == format_matrix(run_matrix(small_spec(corruptions=(None,), runs=2)))
+    assert handed == [
+        [(idx, ("rs",)), (idx, ("aggvar",)), (idx, ("wavelet",)), (idx, ("periodogram", "local_whittle"))]
+        for idx in (0, 1)
+    ]
+
+
 @pytest.mark.parametrize(
     "values",
     [np.arange(5.0), np.random.default_rng(4).standard_normal(500), np.full(2048, 3.0)],
