@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import hurstkit as hk
 import hurstkit.estimators as estimators
+import reference
 from hurstkit import (
     TimeSeries,
     est_aggvar,
@@ -394,21 +395,6 @@ def test_wavelet_refuses_fewer_than_three_octaves(j1, usable):
 # --- R/S kernel against its plain per-block form --------------------------
 
 
-def _reference_rs_ratios(values, grid):
-    """The plain form of _rs_ratios: a cumsum per block and chunk.std."""
-    ratios = []
-    for block in grid:
-        nblocks = values.size // block
-        chunk = values[: nblocks * block].reshape(nblocks, block)
-        dev = chunk - chunk.mean(axis=1, keepdims=True)
-        walks = np.cumsum(dev, axis=1)
-        rng_ = walks.max(axis=1) - walks.min(axis=1)
-        std = chunk.std(axis=1)
-        ok = std > 0.0
-        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
-    return ratios
-
-
 def _rs_series(kind, n, seed):
     rng = np.random.default_rng(seed)
     if kind == "step":  # constant 16-point runs: blocks of std 0, and sizes made only of them
@@ -439,7 +425,7 @@ def _rs_with(kernel, series, n_min):
 def _assert_rs_matches_reference(values, n_min):
     series = TimeSeries(values)
     got = _rs_with(estimators._rs_ratios, series, n_min)
-    want = _rs_with(_reference_rs_ratios, series, n_min)
+    want = _rs_with(reference.rs_ratios_per_row, series, n_min)
     if isinstance(want, str):
         assert got == want
         return
@@ -480,28 +466,6 @@ def test_rs_matches_the_per_row_reference_property(kind, log_n, n_min, seed):
 # --- scratch buffers against the allocate-per-step forms -------------------
 
 
-def _rs_ratios_allocating(values, grid):
-    """_rs_ratios with fresh deviation, square and walk arrays for every block size."""
-    ratios = []
-    for block in grid:
-        nblocks = values.size // block
-        chunk = values[: nblocks * block].reshape(nblocks, block)
-        dev = chunk - chunk.mean(axis=1)[:, None]
-        std = chunk.std(axis=1)
-        if nblocks >= estimators._RS_STEPPED_BLOCKS:
-            walks = np.empty((block, nblocks))
-            walks[0] = dev[:, 0]
-            for k in range(1, block):
-                np.add(walks[k - 1], dev[:, k], out=walks[k])
-            rng_ = walks.max(axis=0) - walks.min(axis=0)
-        else:
-            walks = np.cumsum(dev, axis=1, out=dev)
-            rng_ = walks.max(axis=1) - walks.min(axis=1)
-        ok = std > 0.0
-        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
-    return ratios
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     kind=st.sampled_from(["iid", "bytes", "step", "offset"]),
@@ -517,12 +481,8 @@ def test_rs_scratch_rows_match_the_allocating_form(kind, n, n_min, seed):
     grid = estimators._log_grid(n_min, max(n // 10, 2 * n_min), 30)
     assert grid.min() < 16
     got = estimators._rs_ratios(values, grid)
-    assert [r.hex() for r in got] == [r.hex() for r in _rs_ratios_allocating(values, grid)]
-
-
-def _local_whittle_objective_allocating(hurst, log_lam, mean_log, power):
-    scaled = power * np.exp((2.0 * hurst - 1.0) * log_lam)
-    return float(np.log(scaled.mean()) - (2.0 * hurst - 1.0) * mean_log)
+    want = reference.rs_ratios_allocating(values, grid, estimators._RS_STEPPED_BLOCKS)
+    assert [r.hex() for r in got] == [r.hex() for r in want]
 
 
 @settings(max_examples=25, deadline=None)
@@ -542,14 +502,14 @@ def test_local_whittle_work_buffer_matches_the_allocating_form(n, share, hurst, 
     log_lam = np.log(lam)
     mean_log = log_lam.mean()
     want = estimators._fminbound(
-        lambda h: _local_whittle_objective_allocating(h, log_lam, mean_log, power), 0.01, 1.49, 1e-6
+        lambda h: reference.local_whittle_objective(h, log_lam, mean_log, power), 0.01, 1.49, 1e-6
     )
     got = local_whittle_minimize(lam, power)
     assert got.hex() == want.hex()
     out = np.full_like(log_lam, np.nan)
     for h in (0.01, 0.5, got, 1.49):  # one buffer over many evaluations, as in the minimiser
         assert estimators._local_whittle_objective(h, log_lam, mean_log, power, out).hex() == (
-            _local_whittle_objective_allocating(h, log_lam, mean_log, power).hex()
+            reference.local_whittle_objective(h, log_lam, mean_log, power).hex()
         )
 
 
@@ -566,10 +526,7 @@ def _assert_aggvar_matches_reference(values):
 
     with mock.patch.object(estimators, "aggregate", spy):
         report = est_aggvar(TimeSeries(values))
-    want = []
-    for m in sizes:
-        k = values.size // m
-        want.append(float(values[: k * m].reshape(k, m).mean(axis=1).var()))
+    want = reference.aggvar_variances(values, sizes)
     want_fit, _ = estimators._block_fit(sizes, want, 10, values.size // 100)  # est_aggvar's default window
     assert [float(v).hex() for v in report.fit.ys] == [float(v).hex() for v in want_fit.ys]
     assert report.fit.slope.hex() == want_fit.slope.hex()

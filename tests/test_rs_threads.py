@@ -15,23 +15,14 @@ import numpy as np
 import pytest
 
 import hurstkit as hk
+import reference
 from hurstkit import estimators, series
 from hurstkit.estimators import _RS_STEPPED_BLOCKS, _log_grid, _rs_ratios
 from hurstkit.harness import ExperimentSpec, GeneratorSource, run_matrix
 
 
 def _reference(values, grid):
-    """Mean R/S per size by plain per-block numpy: chunk.std and a per-row cumsum."""
-    ratios = []
-    for block in grid:
-        nblocks = values.size // block
-        chunk = values[: nblocks * block].reshape(nblocks, block)
-        walks = np.cumsum(chunk - chunk.mean(axis=1)[:, None], axis=1)
-        rng_ = walks.max(axis=1) - walks.min(axis=1)
-        std = chunk.std(axis=1)
-        ok = std > 0.0
-        ratios.append(float((rng_[ok] / std[ok]).mean()) if ok.any() else 0.0)
-    return [ratio.hex() for ratio in ratios]
+    return [ratio.hex() for ratio in reference.rs_ratios_per_row(values, grid)]
 
 
 def _series(n, offset):
