@@ -37,7 +37,8 @@ run_all() (
   hk estimate --method lwhittle --bandwidth 200 --in fgn.txt --out est_lw.csv
   hk estimate --method aggvar --in fgn.txt --out est_aggvar.csv --dump-fit fit.txt
   hk estimate --method wavelet --in iid_1024.txt --out est_wavelet_1024.csv
-  # R/S steps all walks at once where a size has >= 512 blocks: up to 256 points on 2^17, 16 on 8192
+  # R/S steps all walks at once where a size has >= 1024 blocks (up to 128 points on 2^17);
+  # a size with fewer takes its walks as running sums over 8 fixed groups of its blocks
   hk generate --model fgn --h 0.7 --n 131072 --seed 12 --out fgn_2e17.txt
   for f in fgn fgn_2e17; do
     for m in rs wavelet; do hk estimate --method $m --in $f.txt --out est_${m}_$f.csv --dump-fit fit_${m}_$f.txt; done
@@ -55,6 +56,9 @@ run_all() (
   # R/S splits each size's blocks over the CPUs when called on the main thread (estimate,
   # matrix with one worker) and runs inline in matrix cells on two workers
   hk estimate --method rs --in ar1_09_1e6.txt --out est_rs_ar1_09_1e6.csv --dump-fit fit_rs_ar1_09_1e6.txt
+  # 15 of the 20 grouped sizes of 98183 points have a block count that 8 does not divide: groups of unequal length
+  hk generate --model fgn --h 0.8 --n 98183 --seed 29 --out fgn_98183.txt
+  hk estimate --method rs --in fgn_98183.txt --out est_rs_98183.csv --dump-fit fit_rs_98183.txt
   hk matrix --source fgn --n 131072 --runs 2 --seed 26 --corruption none --corruption ar1 --estimator rs --workers 2 > fgn_2e17_rs_w2_matrix.csv
   # a block of each of these paths misses its check, so the loop redoes its span;
   # corrupt --seed 37 draws the first of them as its AR(1) noise

@@ -38,14 +38,14 @@ def main() -> int:
     worst: dict[str, tuple[float, str]] = {}
     for case, got in measured.items():
         for name, move in gate.relative_moves(committed.get(case, {}), got).items():
-            if move >= worst.get(name, (-1.0, ""))[0]:
+            if move > worst.get(name, (-1.0, ""))[0]:  # the first case with the largest move
                 worst[name] = (move, case)
     for name in sorted(worst):
         move, case = worst[name]
         print(f"{name:26s} {move:.3g}  {case}")
     failed = sorted(name for name, (move, _) in worst.items() if not move <= gate.BOUND)
     print(f"{len(cases)} cases in {time.perf_counter() - t0:.1f} s; bound {gate.BOUND:g}; "
-          f"{len(failed)} values over it; {len(missing)} cases uncommitted")
+          f"{len(failed)} of these over it; {len(missing)} cases uncommitted")
     return 1 if failed or missing else 0
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NonPositivePoint,
     SeriesTooShort,
 )
-from .series import TimeSeries, _run_threads, _thread_cpus, aggregate
+from .series import _MAX_THREADS, TimeSeries, _run_threads, _thread_cpus, aggregate
 from .spectral import Periodogram, periodogram as compute_periodogram
 from .wavelet import dwt
 
@@ -218,22 +218,38 @@ def _grid_fit(
     return _block_fit(grid, values, fit_min, fit_max)
 
 
-_RS_STEPPED_BLOCKS = 512  # a thread's block count from which _rs_ratios steps every walk at once
+_RS_STEPPED_BLOCKS = 1024  # a size's block count from which _rs_ratios steps every walk at once
 # Series points per R/S thread, at least: below 2^16 points in all a second
 # thread costs more to start than it saves.
 _RS_PART = 1 << 15
+
+
+def _rs_runs(count: int, threads: int) -> list[list[int]]:
+    """Each thread's share of a size's ``count`` blocks, as the edges of its runs
+    of consecutive blocks: one run, an even share, where the walks are stepped;
+    else whole runs of the ``_MAX_THREADS`` that the blocks are cut into by
+    index, whatever the thread count."""
+    if count >= _RS_STEPPED_BLOCKS:
+        return [[count * thread // threads, count * (thread + 1) // threads] for thread in range(threads)]
+    edges = [count * run // _MAX_THREADS for run in range(_MAX_THREADS + 1)]
+    firsts = [_MAX_THREADS * thread // threads for thread in range(threads + 1)]  # each thread's first run
+    return [edges[first : last + 1] for first, last in zip(firsts, firsts[1:])]
 
 
 def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
     """Mean R/S over the blocks of each size; 0 where every block is constant.
 
     Each thread of ``_thread_cpus`` takes a contiguous range of every size's
-    blocks, with no wait between sizes, and writes each block's R/S and
-    whether its S is positive; the means are taken here over all of them, so
-    the ratios do not depend on the thread count.  Steps of the walks are
-    numpy calls on one value per block, and numpy holds the interpreter lock
-    through a call on 500 values or fewer: a thread steps its walks only from
-    ``_RS_STEPPED_BLOCKS`` blocks.
+    blocks (``_rs_runs``), with no wait between sizes, and writes each
+    block's R/S and whether its S is positive; the means are taken here over
+    all of them.  A size of ``_RS_STEPPED_BLOCKS`` blocks or more steps all
+    its walks at once.  Any other size's walks are one running sum over the
+    deviations of each of its runs of blocks: within a run a block's max -
+    min of that sum is its R, the sum's offset at the block cancelling.
+    (numpy holds the interpreter lock through a cumsum along the rows of 500
+    blocks or fewer, or through an in-place one, but not through a 1-D one
+    into another array.)  No choice depends on the thread count, so neither
+    do the ratios' bits.
     """
     n = values.size
     sizes = [int(block) for block in grid]
@@ -243,19 +259,25 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
     positive = np.empty(starts[-1], dtype=bool)
     cpu_sets = _thread_cpus(max(1, n // _RS_PART))
     threads = len(cpu_sets)
+    shares = [_rs_runs(count, threads) for count in counts]
+    most = [max(runs[-1] - runs[0] for runs in share) for share in shares]  # blocks in a size's largest share
     # Two rows reused by every size, one pair per thread: the deviations, then
-    # their squares and the stepped walks.  Series-length arrays allocated per
-    # size would be mapped and unmapped by the allocator each time, faulting on
+    # their squares and the walks.  Series-length arrays allocated per size
+    # would be mapped and unmapped by the allocator each time, faulting on
     # every page they touch.
-    span = max((-(-count // threads) * block for block, count in zip(sizes, counts)), default=0)
-    scratch = np.empty((threads, 2, span))
-    rows = np.empty((threads, 2, -(-max(counts, default=0) // threads)))  # each thread's walk minima and S
+    scratch = np.empty((threads, 2, max((m * block for m, block in zip(most, sizes)), default=0)))
+    rows = np.empty((threads, 2, max(most, default=0)))  # each thread's walk minima and S
 
     def part(thread: int) -> None:
         # Every array is the caller's: a helper's own allocations would stay in its
         # malloc arena, beside the caller's, and raise the process's peak.
-        for block, count, start in zip(sizes, counts, starts):
-            lo, hi = count * thread // threads, count * (thread + 1) // threads
+        # Odd threads take the sizes from the largest down, so a stepped walk's many
+        # short calls mostly run beside a grouped walk's few long ones: less waiting
+        # on the interpreter lock.
+        order = list(zip(sizes, counts, starts, shares))
+        for block, count, start, share in order if thread % 2 == 0 else order[::-1]:
+            runs = share[thread]
+            lo, hi = runs[0], runs[-1]
             nblocks = hi - lo
             if nblocks == 0:
                 continue
@@ -270,7 +292,7 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
             np.add.reduce(np.multiply(dev, dev, out=square), axis=1, out=std)  # and chunk.std's
             std /= block
             np.sqrt(std, out=std)
-            if nblocks >= _RS_STEPPED_BLOCKS:
+            if count >= _RS_STEPPED_BLOCKS:
                 # A per-row cumsum is latency-bound; stepping all walks at once vectorises
                 # across blocks while each walk still adds left to right, so the bits match.
                 walks = square.reshape(block, nblocks)
@@ -279,8 +301,11 @@ def _rs_ratios(values: np.ndarray, grid: np.ndarray) -> list[float]:
                     np.add(walks[k - 1], dev[:, k], out=walks[k])
                 axis = 0
             else:
-                walks = np.cumsum(dev, axis=1, out=dev)
-                axis = 1
+                flat_dev, flat_walks = scratch[thread, :, :used]
+                cuts = [(run - lo) * block for run in runs]
+                for a, b in zip(cuts, cuts[1:]):
+                    np.add.accumulate(flat_dev[a:b], out=flat_walks[a:b])
+                walks, axis = square, 1
             np.subtract(walks.max(axis=axis, out=rng_), walks.min(axis=axis, out=low), out=rng_)
             np.divide(rng_, std, out=rng_, where=np.greater(std, 0.0, out=positive[start + lo : start + hi]))
 

@@ -425,7 +425,7 @@ def _rs_with(kernel, series, n_min):
 def _assert_rs_matches_reference(values, n_min):
     series = TimeSeries(values)
     got = _rs_with(estimators._rs_ratios, series, n_min)
-    want = _rs_with(reference.rs_ratios_per_row, series, n_min)
+    want = _rs_with(reference.rs_ratios, series, n_min)
     if isinstance(want, str):
         assert got == want
         return
@@ -463,6 +463,21 @@ def test_rs_matches_the_per_row_reference_property(kind, log_n, n_min, seed):
     _assert_rs_matches_reference(_rs_series(kind, int(math.exp(log_n)), seed), n_min)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["iid", "bytes", "step", "offset", "fgn"]),
+    n=st.one_of(st.sampled_from([98_183, 2**17]), st.integers(64, 300_000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="offset", n=10**6, seed=5)
+def test_rs_stays_within_the_gate_bound_of_a_cumsum_per_block(kind, n, seed):
+    # the grouped walks change the order of R's additions, within the estimate gate's bound
+    values = _rs_series(kind, n, seed)
+    grid = estimators._log_grid(2, max(n // 10, 4), 30)
+    for got, want in zip(estimators._rs_ratios(values, grid), reference.rs_ratios_per_row(values, grid)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # --- scratch buffers against the allocate-per-step forms -------------------
 
 
@@ -481,7 +496,7 @@ def test_rs_scratch_rows_match_the_allocating_form(kind, n, n_min, seed):
     grid = estimators._log_grid(n_min, max(n // 10, 2 * n_min), 30)
     assert grid.min() < 16
     got = estimators._rs_ratios(values, grid)
-    want = reference.rs_ratios_allocating(values, grid, estimators._RS_STEPPED_BLOCKS)
+    want = reference.rs_ratios_allocating(values, grid)
     assert [r.hex() for r in got] == [r.hex() for r in want]
 
 

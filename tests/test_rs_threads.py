@@ -22,7 +22,7 @@ from hurstkit.harness import ExperimentSpec, GeneratorSource, run_matrix
 
 
 def _reference(values, grid):
-    return [ratio.hex() for ratio in reference.rs_ratios_per_row(values, grid)]
+    return [ratio.hex() for ratio in reference.rs_ratios(values, grid)]
 
 
 def _series(n, offset):
@@ -37,6 +37,9 @@ def _ratios(monkeypatch, threads, values, grid):
     return [ratio.hex() for ratio in _rs_ratios(values, grid)]
 
 
+THREADS = (1, 2, 3, 5, 8)
+
+
 @pytest.mark.parametrize("n", [2**17, 98183, 10**6])
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_ratios_do_not_depend_on_the_thread_count(monkeypatch, n, offset):
@@ -44,18 +47,21 @@ def test_ratios_do_not_depend_on_the_thread_count(monkeypatch, n, offset):
     grid = _log_grid(10, n // 10, 30)
     grid = np.concatenate([grid, [n // 2, n]])  # two blocks and one: fewer than the threads
     want = _reference(values, grid)
-    for threads in (1, 2, 3):
+    for threads in THREADS:
         assert _ratios(monkeypatch, threads, values, grid) == want
 
 
-def test_parts_on_both_sides_of_the_stepped_walk_threshold(monkeypatch):
-    # 3 threads over 1535 blocks of 10 take 511, 512 and 512: one per-row cumsum, two stepped
-    nblocks = 3 * _RS_STEPPED_BLOCKS - 1
-    values = _series(10 * nblocks, 1e8)
-    grid = np.array([10, 11, 3, 30])
-    assert [nblocks * (t + 1) // 3 - nblocks * t // 3 for t in range(3)] == [511, 512, 512]
+def test_walks_on_both_sides_of_the_switch_keep_their_bits_at_any_thread_count(monkeypatch):
+    n = 70001
+    values = _series(n, 1e8)
+    one_to_seven = [n // count for count in range(1, 8)]  # 1-7 blocks, each longer than 8192 points
+    # 1029 blocks of 68 are stepped, 1014 of 69 grouped: neither count divides by 8
+    grid = np.array([10, 68, 69, 100, 999, *one_to_seven])
+    counts = n // grid
+    assert min(one_to_seven) > 8192 and list(counts[-7:]) == list(range(1, 8))
+    assert counts[1] >= _RS_STEPPED_BLOCKS > counts[2] and counts[1] % 8 and counts[2] % 8
     want = _reference(values, grid)
-    for threads in (1, 2, 3):
+    for threads in THREADS:
         assert _ratios(monkeypatch, threads, values, grid) == want
 
 
